@@ -43,15 +43,9 @@ struct Rig {
           std::make_unique<comm::ProducerInterface>("p", depth));
       consumers.push_back(
           std::make_unique<comm::ConsumerInterface>("c", depth));
-      clk->attach(producers.back().get());
-      clk->attach(consumers.back().get());
       fabric->attach_producer(i, 0, producers.back().get());
       fabric->attach_consumer(i, 0, consumers.back().get());
     }
-  }
-  ~Rig() {
-    for (auto& p : producers) clk->detach(p.get());
-    for (auto& c : consumers) clk->detach(c.get());
   }
 };
 

@@ -47,15 +47,9 @@ struct VapresRig {
           std::make_unique<comm::ProducerInterface>("p", 512));
       consumers.push_back(
           std::make_unique<comm::ConsumerInterface>("c", 512));
-      clk->attach(producers.back().get());
-      clk->attach(consumers.back().get());
       fabric->attach_producer(i, 0, producers.back().get());
       fabric->attach_consumer(i, 0, consumers.back().get());
     }
-  }
-  ~VapresRig() {
-    for (auto& p : producers) clk->detach(p.get());
-    for (auto& c : consumers) clk->detach(c.get());
   }
 };
 

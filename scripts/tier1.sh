@@ -110,7 +110,7 @@ print(f"trace OK: {len(events)} events, all 9 switch steps present")
 EOF
 
 echo
-echo "=== tier-1: sched/soak/fleet/snap/health tests under address,undefined ==="
+echo "=== tier-1: sched/soak/fleet/snap/health/simkernel/comm tests under address,undefined ==="
 # The soak smoke (soak_test, ~10^3 lifetimes, including the
 # agent-crash-churn fleet run), the fleet router tests (fleet_test:
 # cross-fabric migration rollback, master adoption, quota preemption,
@@ -123,10 +123,16 @@ echo "=== tier-1: sched/soak/fleet/snap/health tests under address,undefined ===
 # replay-on-dst moves, agent destroy/reconstruct cycles, and whole-
 # system serialize/reconstruct round-trips are the workloads most
 # likely to surface lifetime bugs the single-scenario sched tests miss.
+# The switch fabric keeps every box's registers in flat arrays indexed by
+# box and port, so the kernel lockstep tests (simkernel_test) and the
+# fabric unit tests (switch_box_test, switch_fabric_test; label comm)
+# ride along too: an index past the last box or port is an out-of-bounds
+# read that only the sanitizer reports.
 cmake -B "$SAN_BUILD" -S . -DVAPRES_SANITIZE=address,undefined
 cmake --build "$SAN_BUILD" -j --target scheduler_test defrag_test soak_test \
-  fleet_test statedb_test snap_test health_test
-ctest --test-dir "$SAN_BUILD" -L 'sched|soak|fleet|snap|health' \
+  fleet_test statedb_test snap_test health_test simkernel_test \
+  switch_box_test switch_fabric_test
+ctest --test-dir "$SAN_BUILD" -L 'sched|soak|fleet|snap|health|simkernel|comm' \
   --output-on-failure
 
 echo

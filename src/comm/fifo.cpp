@@ -13,6 +13,10 @@ Fifo::Fifo(std::string name, int capacity)
 
 void Fifo::add_wake_target(sim::Clocked* target) {
   VAPRES_REQUIRE(target != nullptr, name_ + ": null wake target");
+  if (std::find(wake_targets_.begin(), wake_targets_.end(), target) !=
+      wake_targets_.end()) {
+    return;
+  }
   wake_targets_.push_back(target);
 }
 

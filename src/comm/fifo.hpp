@@ -59,8 +59,9 @@ class Fifo {
   /// Registers a component whose activity depends on this FIFO. Every
   /// push, pop, and reset calls wake() on each target: a push gives the
   /// reader work, and a pop changes the fill level that backpressure
-  /// thresholds are computed from. Targets are never unregistered — wire
-  /// only components that outlive the FIFO's use.
+  /// thresholds are computed from. Registering a target twice is a no-op,
+  /// so each push or pop wakes it once. Targets are never unregistered —
+  /// wire only components that outlive the FIFO's use.
   void add_wake_target(sim::Clocked* target);
 
   std::uint64_t total_pushed() const { return pushed_; }

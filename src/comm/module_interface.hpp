@@ -17,6 +17,11 @@
 // asserts at remaining <= 2d+2 and is property-tested to never drop a
 // word; the literal paper policy is also implemented so its behaviour can
 // be demonstrated.
+//
+// The interfaces' static-region side is clocked by the SwitchFabric they
+// attach to, not by the clock domain directly: the domain sees one
+// component per fabric, and the fabric runs every attached interface in
+// its own eval/commit loop.
 #pragma once
 
 #include <cstdint>
@@ -38,15 +43,35 @@ enum class BackpressurePolicy {
   kLiteralPaper,   ///< assert when remaining <= 2*(N - d) (as printed)
 };
 
+/// Base of the parts a SwitchFabric clocks itself (module interfaces,
+/// IOM source/sink logic). The static domain only sees the fabric, so
+/// whatever changes one of these parts' inputs wakes the fabric.
+class FabricPart {
+ public:
+  /// Re-arms the owning fabric's edge delivery; a no-op until attached.
+  void wake() {
+    if (owner_ != nullptr) owner_->wake();
+  }
+
+ protected:
+  FabricPart() = default;
+  ~FabricPart() = default;
+
+ private:
+  friend class SwitchFabric;
+
+  sim::Clocked* owner_ = nullptr;
+};
+
 /// Producer interface: module-side FIFO -> fabric flit output.
-/// Clocked in the static-region domain.
-class ProducerInterface final : public sim::Clocked {
+/// Clocked in the static-region domain, by the fabric it attaches to.
+class ProducerInterface final : public FabricPart {
  public:
   explicit ProducerInterface(std::string name,
                              int fifo_capacity = Fifo::kDefaultDepth,
                              int width_bits = 32);
 
-  std::string name() const override { return name_; }
+  const std::string& name() const { return name_; }
 
   /// Module-side access (called from the module's clock domain).
   Fifo& fifo() { return fifo_; }
@@ -83,12 +108,31 @@ class ProducerInterface final : public sim::Clocked {
   /// the count stays cycle-accurate.
   std::uint64_t stall_cycles() const { return stall_cycles_; }
 
-  void eval() override;
-  void commit() override;
+  void eval() {
+    const bool feedback = feedback_full_ != nullptr && *feedback_full_;
+    if (read_enable_ && !feedback && !fifo_.empty()) {
+      // Bit-extension: w payload bits + negated-empty flag as the valid
+      // MSB. A w-bit channel physically carries only the low w bits.
+      next_output_ = Flit{fifo_.front() & payload_mask(width_bits_), true};
+      pop_pending_ = true;
+    } else {
+      if (read_enable_ && feedback && !fifo_.empty()) ++stall_cycles_;
+      next_output_ = kIdleFlit;
+      pop_pending_ = false;
+    }
+  }
+  void commit() {
+    if (pop_pending_) {
+      fifo_.pop();
+      ++words_sent_;
+      pop_pending_ = false;
+    }
+    output_ = next_output_;
+  }
   /// Idle output and nothing drainable (empty FIFO, read disabled, or
   /// stalled on feedback-full): further edges are no-ops until the FIFO
-  /// or a PRSocket bit wakes the interface.
-  bool quiescent() const override;
+  /// or a PRSocket bit wakes the fabric.
+  bool quiescent() const;
 
   /// Payload width of the attached channel (w in the paper's Figure 7).
   int width_bits() const { return width_bits_; }
@@ -109,12 +153,12 @@ class ProducerInterface final : public sim::Clocked {
 };
 
 /// Consumer interface: fabric flit input -> module-side FIFO.
-/// Clocked in the static-region domain.
-class ConsumerInterface final : public sim::Clocked {
+/// Clocked in the static-region domain, by the fabric it attaches to.
+class ConsumerInterface final : public FabricPart {
  public:
   explicit ConsumerInterface(std::string name, int fifo_capacity = Fifo::kDefaultDepth);
 
-  std::string name() const override { return name_; }
+  const std::string& name() const { return name_; }
 
   Fifo& fifo() { return fifo_; }
   const Fifo& fifo() const { return fifo_; }
@@ -148,16 +192,45 @@ class ConsumerInterface final : public sim::Clocked {
   /// subsequent data words are discarded").
   std::uint64_t words_discarded() const { return words_discarded_; }
 
-  void eval() override;
-  void commit() override;
+  void eval() {
+    pending_ = input_ != nullptr ? *input_ : kIdleFlit;
+    next_full_feedback_ = threshold_reached();
+  }
+  void commit() {
+    if (pending_.valid && write_enable_) {
+      if (fifo_.full()) {
+        ++words_discarded_;
+      } else {
+        fifo_.push(pending_.data);
+        ++words_received_;
+      }
+    }
+    pending_ = kIdleFlit;
+    full_feedback_ = next_full_feedback_;
+  }
   /// Idle fabric input and a settled feedback-full register: further edges
   /// are no-ops until a flit arrives or the FIFO's fill level changes.
-  bool quiescent() const override;
+  bool quiescent() const;
 
  private:
   friend class ::vapres::snap::SystemSnapshot;
 
-  bool threshold_reached() const;
+  bool threshold_reached() const {
+    switch (policy_) {
+      case BackpressurePolicy::kPipelineDepth:
+        // Forward pipeline (producer output register + one register per
+        // switch box) plus backward feedback latency: <= 2*hops + 2 words
+        // can still arrive after the producer sees the assertion.
+        return fifo_.remaining() <= 2 * hops_ + 2;
+      case BackpressurePolicy::kHalfCapacity:
+        // Hop-oblivious conservative rule: safe whenever the pipeline fits
+        // in half the FIFO, at the cost of halving usable buffering.
+        return fifo_.remaining() <= fifo_.capacity() / 2;
+      case BackpressurePolicy::kLiteralPaper:
+        return fifo_.remaining() <= 2 * (fifo_.capacity() - hops_);
+    }
+    return true;  // unreachable
+  }
 
   std::string name_;
   Fifo fifo_;

@@ -34,21 +34,6 @@ Iom::Iom(std::string name, const RsbParams& params,
   socket_ = std::make_unique<PrSocket>(
       name_ + ".socket", box, prods, cons, fsl_to_mb_.get(),
       fsl_from_mb_.get(), /*wrapper=*/nullptr, /*clock=*/nullptr);
-
-  for (auto& s : sources_) domain_.attach(s.interface.get());
-  for (auto& s : sinks_) domain_.attach(s.interface.get());
-  domain_.attach(this);
-  // A word landing in a sink FIFO (pushed by the consumer interface) must
-  // re-arm the IOM's drain loop even when the IOM slept through it.
-  for (auto& s : sinks_) s.interface->fifo().add_wake_target(this);
-  // Space freeing up in a source FIFO unblocks a stalled pending word.
-  for (auto& s : sources_) s.interface->fifo().add_wake_target(this);
-}
-
-Iom::~Iom() {
-  domain_.detach(this);
-  for (auto& s : sources_) domain_.detach(s.interface.get());
-  for (auto& s : sinks_) domain_.detach(s.interface.get());
 }
 
 Iom::Source& Iom::source(int channel) {

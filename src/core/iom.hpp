@@ -12,6 +12,9 @@
 //
 // EOS is in-band by design (as in the paper): an application data word
 // of all ones is indistinguishable from the end-of-stream marker.
+//
+// The source/sink halves run in the static region, clocked by the RSB's
+// switch fabric right after the IOM's own interfaces (comm::EndpointLogic).
 #pragma once
 
 #include <cstdint>
@@ -23,10 +26,10 @@
 
 #include "comm/fsl.hpp"
 #include "comm/module_interface.hpp"
+#include "comm/switch_fabric.hpp"
 #include "core/params.hpp"
 #include "core/prsocket.hpp"
 #include "sim/clock.hpp"
-#include "sim/component.hpp"
 
 namespace vapres::snap {
 class SystemSnapshot;
@@ -38,16 +41,15 @@ namespace vapres::core {
 /// word (Figure 5, step 8).
 inline constexpr comm::Word kIomEosDetected = 0xC0DE0005u;
 
-class Iom final : public sim::Clocked {
+class Iom final : public comm::EndpointLogic {
  public:
   Iom(std::string name, const RsbParams& params,
       sim::ClockDomain& static_domain, comm::SwitchBox* box);
 
   Iom(const Iom&) = delete;
   Iom& operator=(const Iom&) = delete;
-  ~Iom() override;
 
-  std::string name() const override { return name_; }
+  const std::string& name() const { return name_; }
 
   int num_producers() const { return static_cast<int>(sources_.size()); }
   int num_consumers() const { return static_cast<int>(sinks_.size()); }
@@ -109,7 +111,6 @@ class Iom final : public sim::Clocked {
   /// concurrent apps on sibling channels keep their statistics.
   void reset_gap_stats(int channel);
 
-  void eval() override {}
   void commit() override;
   /// Nothing to inject (no generator, no stalled pending word) and
   /// nothing to drain (all sink FIFOs empty): the IOM sleeps until a

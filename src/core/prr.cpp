@@ -6,12 +6,9 @@ namespace vapres::core {
 
 Prr::Prr(std::string name, int index, const fabric::ClbRect& rect,
          const RsbParams& params, const fabric::DeviceGeometry& device,
-         sim::Simulator& sim, sim::ClockDomain& static_domain,
-         double clock_a_mhz, double clock_b_mhz, comm::SwitchBox* box)
-    : name_(std::move(name)),
-      index_(index),
-      rect_(rect),
-      static_domain_(&static_domain) {
+         sim::Simulator& sim, double clock_a_mhz, double clock_b_mhz,
+         comm::SwitchBox* box)
+    : name_(std::move(name)), index_(index), rect_(rect) {
   const std::string violation = fabric::prr_legality_violation(rect_, device);
   VAPRES_REQUIRE(violation.empty(), violation);
 
@@ -30,13 +27,11 @@ Prr::Prr(std::string name, int index, const fabric::ClbRect& rect,
   for (int c = 0; c < params.ki; ++c) {
     consumers_.push_back(std::make_unique<comm::ConsumerInterface>(
         name_ + ".c" + std::to_string(c), params.fifo_depth));
-    static_domain.attach(consumers_.back().get());
   }
   for (int c = 0; c < params.ko; ++c) {
     producers_.push_back(std::make_unique<comm::ProducerInterface>(
         name_ + ".p" + std::to_string(c), params.fifo_depth,
         params.width_bits));
-    static_domain.attach(producers_.back().get());
   }
 
   fsl_to_mb_ =
@@ -85,8 +80,6 @@ Prr::Prr(std::string name, int index, const fabric::ClbRect& rect,
 
 Prr::~Prr() {
   domain_->detach(wrapper_.get());
-  for (auto& c : consumers_) static_domain_->detach(c.get());
-  for (auto& p : producers_) static_domain_->detach(p.get());
 }
 
 comm::ConsumerInterface& Prr::consumer(int channel) {

@@ -32,11 +32,11 @@ namespace vapres::core {
 class Prr {
  public:
   /// `box` is the paired switch box (for the socket); interfaces are
-  /// created here and attached to fabric/domains by the owning RSB.
+  /// created here and attached to the fabric by the owning RSB.
   Prr(std::string name, int index, const fabric::ClbRect& rect,
       const RsbParams& params, const fabric::DeviceGeometry& device,
-      sim::Simulator& sim, sim::ClockDomain& static_domain,
-      double clock_a_mhz, double clock_b_mhz, comm::SwitchBox* box);
+      sim::Simulator& sim, double clock_a_mhz, double clock_b_mhz,
+      comm::SwitchBox* box);
 
   Prr(const Prr&) = delete;
   Prr& operator=(const Prr&) = delete;
@@ -91,7 +91,6 @@ class Prr {
   std::unique_ptr<hwmodule::ModuleWrapper> wrapper_;
   std::unique_ptr<PrSocket> socket_;
   std::unique_ptr<PerfCounters> perf_;
-  sim::ClockDomain* static_domain_;
   std::string loaded_module_;
   int reconfigurations_ = 0;
 };

@@ -21,6 +21,9 @@ Rsb::Rsb(std::string name, const RsbParams& params,
       static_domain, params_.num_attachments(), shape, name_ + ".fabric");
   channels_ = std::make_unique<ChannelManager>(*fabric_);
 
+  // Attachment order is the fabric's commit order, and with it the order
+  // of fault draws on FIFO pushes: an IOM's producers, its consumers, then
+  // its source/sink logic; a PRR's consumers, then its producers.
   for (int i = 0; i < params_.num_ioms; ++i) {
     const int box_index = params_.box_of_iom(i);
     ioms_.push_back(std::make_unique<Iom>(
@@ -32,6 +35,7 @@ Rsb::Rsb(std::string name, const RsbParams& params,
     for (int c = 0; c < params_.ki; ++c) {
       fabric_->attach_consumer(box_index, c, &ioms_.back()->consumer(c));
     }
+    fabric_->attach_logic(ioms_.back().get());
     dcr_.map(socket_address(box_index), &ioms_.back()->socket());
   }
 
@@ -40,13 +44,12 @@ Rsb::Rsb(std::string name, const RsbParams& params,
     auto prr = std::make_unique<Prr>(
         name_ + ".prr" + std::to_string(i), i,
         prr_rects[static_cast<std::size_t>(i)], params_, device, sim,
-        static_domain, prr_clock_a_mhz, prr_clock_b_mhz,
-        &fabric_->box(box_index));
-    for (int c = 0; c < params_.ko; ++c) {
-      fabric_->attach_producer(box_index, c, &prr->producer(c));
-    }
+        prr_clock_a_mhz, prr_clock_b_mhz, &fabric_->box(box_index));
     for (int c = 0; c < params_.ki; ++c) {
       fabric_->attach_consumer(box_index, c, &prr->consumer(c));
+    }
+    for (int c = 0; c < params_.ko; ++c) {
+      fabric_->attach_producer(box_index, c, &prr->producer(c));
     }
     dcr_.map(socket_address(box_index), &prr->socket());
     dcr_.map(prr_perf_address(i), &prr->perf_counters());

@@ -95,6 +95,11 @@ class ClockDomain {
   int active_components() const { return active_count_; }
   bool asleep() const { return !components_.empty() && active_count_ == 0; }
 
+  /// True while this domain's eval/commit passes run. A component attached
+  /// now gets its first edge on the next tick; composite components (the
+  /// switch fabric) apply the same rule to parts they add mid-tick.
+  bool in_tick() const { return ticking_; }
+
   const KernelStats& kernel_stats() const { return stats_; }
 
  private:
@@ -128,8 +133,7 @@ class ClockDomain {
   /// Whether every component must be ticked regardless of activity flags.
   bool exhaustive() const;
 
-  /// Post-tick sweep: deactivates components whose quiescent() report (or
-  /// whole ActivityGroup) allows sleeping.
+  /// Post-tick sweep: deactivates components that report quiescent().
   void poll_quiescence();
 
   void note_wake(Clocked* component);

@@ -16,13 +16,11 @@
 // default (never quiescent) keeps unaware components on every edge.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <string>
-#include <vector>
 
 namespace vapres::sim {
 
-class ActivityGroup;
 class ClockDomain;
 
 class Clocked {
@@ -41,10 +39,13 @@ class Clocked {
   /// wake() is called. The default keeps the component on every edge.
   virtual bool quiescent() const { return false; }
 
-  /// Re-arms edge delivery for this component — and, when it belongs to an
-  /// ActivityGroup, for the whole group. Must be called by anything that
-  /// changes an input the component reacts to. Safe before attach.
-  void wake();
+  /// Re-arms edge delivery for this component. Must be called by anything
+  /// that changes an input the component reacts to. Safe before attach.
+  /// Waking an awake component is one inline test (FIFOs wake their
+  /// reader on every push and pop).
+  void wake() {
+    if (!active_) activate();
+  }
 
   /// Whether the kernel currently delivers edges to this component.
   bool awake() const { return active_; }
@@ -53,50 +54,16 @@ class Clocked {
   virtual std::string name() const { return "<clocked>"; }
 
  private:
-  friend class ActivityGroup;
   friend class ClockDomain;
 
-  /// Reactivates just this component (group-unaware half of wake()).
+  /// Slow half of wake(): reactivates a sleeping component.
   void activate();
 
   ClockDomain* domain_ = nullptr;
-  ActivityGroup* group_ = nullptr;
   bool active_ = true;
   // Index of this component's slot in its domain's component list, kept
   // current whenever the domain's awake-index cache is valid.
   std::size_t slot_ = 0;
-};
-
-/// Components whose quiescence is only meaningful collectively. The switch
-/// fabric's flit wiring is pull-based (raw `const Flit*` reads with no
-/// subscription), so one box going idle says nothing while a neighbour may
-/// still push a flit into it without any hook firing. Grouped components
-/// therefore sleep all-or-nothing: the kernel deactivates a member only
-/// when every member reports quiescent, and wake() on any member re-arms
-/// them all.
-class ActivityGroup {
- public:
-  ActivityGroup() = default;
-  ActivityGroup(const ActivityGroup&) = delete;
-  ActivityGroup& operator=(const ActivityGroup&) = delete;
-  ~ActivityGroup();
-
-  /// Registers `c` (not owned). Members remove themselves on destruction.
-  void add(Clocked* c);
-  void remove(Clocked* c);
-
-  /// True when every member reports quiescent. Memoized per poll `epoch`
-  /// so a domain's post-tick sweep evaluates each group once, not once
-  /// per member.
-  bool quiescent(std::uint64_t epoch);
-
-  /// Reactivates every member.
-  void wake_all();
-
- private:
-  std::vector<Clocked*> members_;
-  std::uint64_t memo_epoch_ = 0;
-  bool memo_quiescent_ = false;
 };
 
 }  // namespace vapres::sim

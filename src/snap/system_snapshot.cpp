@@ -322,17 +322,18 @@ std::string SystemSnapshot::save(core::VapresSystem& sys, std::uint64_t epoch,
     // Switch boxes: input registers, mux selects, outputs, stuck latches.
     w.u32(static_cast<std::uint32_t>(fab.num_boxes()));
     for (int b = 0; b < fab.num_boxes(); ++b) {
-      const comm::SwitchBox& box = fab.box(b);
       for (int i = 0; i < sh.num_inputs(); ++i) {
-        put_flit(box.regs_[static_cast<std::size_t>(i)]);
-        put_flit(box.regs_next_[static_cast<std::size_t>(i)]);
+        const auto k = static_cast<std::size_t>(b * sh.num_inputs() + i);
+        put_flit(fab.regs_[k]);
+        put_flit(fab.regs_next_[k]);
       }
       for (int o = 0; o < sh.num_outputs(); ++o) {
-        w.i64(box.selects_[static_cast<std::size_t>(o)]);
-        put_flit(box.outputs_[static_cast<std::size_t>(o)]);
-        w.boolean(box.stuck_[static_cast<std::size_t>(o)]);
+        const auto k = static_cast<std::size_t>(b * sh.num_outputs() + o);
+        w.i64(fab.selects_[k]);
+        put_flit(fab.out_[k]);
+        w.boolean(fab.stuck_[k] != 0);
       }
-      w.i64(box.stuck_events_);
+      w.i64(fab.stuck_events_[static_cast<std::size_t>(b)]);
     }
 
     // IOMs: socket, FSLs, source/sink halves.
@@ -416,9 +417,11 @@ std::string SystemSnapshot::save(core::VapresSystem& sys, std::uint64_t epoch,
       w.u32(e.route);
       const auto& route = fab.routes_.at(e.route);
       w.u8(static_cast<std::uint8_t>(route.consumer->policy_));
-      w.u32(static_cast<std::uint32_t>(route.feedback->stages_.size()));
-      for (const bool st : route.feedback->stages_) w.boolean(st);
-      w.boolean(route.feedback->output_);
+      w.u32(static_cast<std::uint32_t>(route.feedback.depth));
+      for (int st = 0; st < route.feedback.depth; ++st) {
+        w.boolean(((route.feedback.stages >> st) & 1u) != 0);
+      }
+      w.boolean(route.feedback.output);
     }
     w.u32(cm.next_id_);
     w.u32(fab.next_route_id_);
@@ -800,7 +803,10 @@ std::unique_ptr<core::VapresSystem> SystemSnapshot::restore_system(
         bs.regs_next.push_back(get_flit());
       }
       for (int o = 0; o < sh.num_outputs(); ++o) {
-        bs.selects.push_back(r.i64());
+        const std::int64_t sel = r.i64();
+        VAPRES_REQUIRE(sel >= -1 && sel < sh.num_inputs(),
+                       "restore: mux select out of range");
+        bs.selects.push_back(sel);
         bs.outputs.push_back(get_flit());
         bs.stuck.push_back(r.boolean());
       }
@@ -933,14 +939,15 @@ std::unique_ptr<core::VapresSystem> SystemSnapshot::restore_system(
           core::ChannelEndpoint{spec.consumer_box, spec.consumer_channel});
       // Feedback-pipeline raw state (establish built it freshly cleared).
       comm::SwitchFabric::FeedbackPipeline& fb =
-          *fab.routes_.at(route_id).feedback;
+          fab.routes_.at(route_id).feedback;
       const std::uint32_t n_stages = r.u32();
-      VAPRES_REQUIRE(n_stages == fb.stages_.size(),
+      VAPRES_REQUIRE(n_stages == static_cast<std::uint32_t>(fb.depth),
                      "restore: feedback depth mismatch");
+      fb.stages = 0;
       for (std::uint32_t st = 0; st < n_stages; ++st) {
-        fb.stages_[st] = r.boolean();
+        if (r.boolean()) fb.stages |= std::uint64_t{1} << st;
       }
-      fb.output_ = r.boolean();
+      fb.output = r.boolean();
     }
     cm.next_id_ = r.u32();
     fab.next_route_id_ = r.u32();
@@ -948,24 +955,23 @@ std::unique_ptr<core::VapresSystem> SystemSnapshot::restore_system(
     // Box overlay last: exact saved registers/selects/outputs win over
     // whatever socket writes and route programming just did.
     for (int b = 0; b < fab.num_boxes(); ++b) {
-      comm::SwitchBox& box = fab.box(b);
       const BoxState& bs = box_states[static_cast<std::size_t>(b)];
       for (int i = 0; i < sh.num_inputs(); ++i) {
-        box.regs_[static_cast<std::size_t>(i)] =
-            bs.regs[static_cast<std::size_t>(i)];
-        box.regs_next_[static_cast<std::size_t>(i)] =
-            bs.regs_next[static_cast<std::size_t>(i)];
+        const auto k = static_cast<std::size_t>(b * sh.num_inputs() + i);
+        fab.regs_[k] = bs.regs[static_cast<std::size_t>(i)];
+        fab.regs_next_[k] = bs.regs_next[static_cast<std::size_t>(i)];
       }
       for (int o = 0; o < sh.num_outputs(); ++o) {
-        box.selects_[static_cast<std::size_t>(o)] =
+        const auto k = static_cast<std::size_t>(b * sh.num_outputs() + o);
+        fab.selects_[k] =
             static_cast<int>(bs.selects[static_cast<std::size_t>(o)]);
-        box.outputs_[static_cast<std::size_t>(o)] =
-            bs.outputs[static_cast<std::size_t>(o)];
-        box.stuck_[static_cast<std::size_t>(o)] =
-            bs.stuck[static_cast<std::size_t>(o)];
+        fab.out_[k] = bs.outputs[static_cast<std::size_t>(o)];
+        fab.stuck_[k] = bs.stuck[static_cast<std::size_t>(o)] ? 1 : 0;
       }
-      box.stuck_events_ = bs.stuck_events;
+      fab.stuck_events_[static_cast<std::size_t>(b)] = bs.stuck_events;
     }
+    // The live-port lists derive from the overlaid selects and latches.
+    fab.invalidate_ports();
   }
 
   // ---- Clock-domain + global-time overlay (after socket CLK writes).

@@ -7,6 +7,7 @@
 #include <optional>
 
 #include "comm/flit.hpp"
+#include "comm/switch_fabric.hpp"
 #include "core/switching.hpp"
 #include "core/system.hpp"
 
@@ -34,14 +35,14 @@ TEST(ChannelWidth, Masks) {
 TEST(ChannelWidth, ProducerInterfaceTruncates) {
   sim::Simulator sim;
   auto& clk = sim.create_domain("clk", 100.0);
+  comm::SwitchFabric fabric(clk, 1, comm::SwitchBoxShape{1, 1, 1, 1});
   comm::ProducerInterface p("p", 8, /*width_bits=*/16);
-  clk.attach(&p);
+  fabric.attach_producer(0, 0, &p);
   p.set_read_enable(true);
   p.fifo().push(0x12345678u);
   sim.run_cycles(clk, 1);
   EXPECT_EQ(*p.output_signal(), (comm::Flit{0x5678u, true}));
   EXPECT_EQ(p.width_bits(), 16);
-  clk.detach(&p);
 }
 
 TEST(ChannelWidth, RejectsBadWidths) {

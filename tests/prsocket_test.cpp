@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "comm/dcr.hpp"
+#include "comm/switch_fabric.hpp"
 #include "core/prsocket.hpp"
 #include "hwmodule/modules.hpp"
 #include "sim/simulator.hpp"
@@ -15,7 +16,8 @@ struct Rig {
   sim::Simulator sim;
   sim::ClockDomain* static_clk;
   sim::ClockDomain* prr_clk;
-  comm::SwitchBox box{"sw", comm::SwitchBoxShape{2, 2, 1, 1}};
+  std::unique_ptr<comm::SwitchFabric> fabric;
+  comm::SwitchBox* box = nullptr;
   comm::ProducerInterface producer{"p", 16};
   comm::ConsumerInterface consumer{"c", 16};
   comm::FslLink r{"r", 16};
@@ -27,6 +29,9 @@ struct Rig {
   Rig() {
     static_clk = &sim.create_domain("clk_sys", 100.0);
     prr_clk = &sim.create_domain("clk_prr", 100.0);
+    fabric = std::make_unique<comm::SwitchFabric>(
+        *static_clk, 1, comm::SwitchBoxShape{2, 2, 1, 1});
+    box = &fabric->box(0);
     wrapper = std::make_unique<hwmodule::ModuleWrapper>(
         "w", std::vector<comm::ConsumerInterface*>{&consumer},
         std::vector<comm::ProducerInterface*>{&producer}, &r, &t);
@@ -34,7 +39,7 @@ struct Rig {
         fabric::Bufr("b", fabric::ClockRegionId{0, 0}),
         fabric::Bufgmux(100.0, 50.0), *prr_clk);
     socket = std::make_unique<PrSocket>(
-        "sock", &box, std::vector<comm::ProducerInterface*>{&producer},
+        "sock", box, std::vector<comm::ProducerInterface*>{&producer},
         std::vector<comm::ConsumerInterface*>{&consumer}, &r, &t,
         wrapper.get(), tree.get());
   }
@@ -46,7 +51,7 @@ TEST(PrSocket, PowerOnStateIsSafe) {
   EXPECT_FALSE(rig.prr_clk->enabled());      // CLK_en = 0
   EXPECT_FALSE(rig.producer.read_enable());  // FIFO_ren = 0
   EXPECT_FALSE(rig.consumer.write_enable()); // FIFO_wen = 0
-  EXPECT_EQ(rig.box.selected(0), -1);        // outputs parked
+  EXPECT_EQ(rig.box->selected(0), -1);        // outputs parked
 }
 
 TEST(PrSocket, SmEnBitControlsIsolation) {
@@ -130,13 +135,13 @@ TEST(PrSocket, MuxSelFieldEncoding) {
   DcrValue v = rig.socket->with_mux_sel(0, /*output=*/2, /*input=*/4);
   EXPECT_EQ(v, static_cast<DcrValue>(5) << (8 + 2 * 3));
   rig.socket->dcr_write(v);
-  EXPECT_EQ(rig.box.selected(2), 4);
-  EXPECT_EQ(rig.box.selected(0), -1);  // others still parked
+  EXPECT_EQ(rig.box->selected(2), 4);
+  EXPECT_EQ(rig.box->selected(0), -1);  // others still parked
 
   // Park it again.
   v = rig.socket->with_mux_sel(v, 2, -1);
   rig.socket->dcr_write(v);
-  EXPECT_EQ(rig.box.selected(2), -1);
+  EXPECT_EQ(rig.box->selected(2), -1);
 }
 
 TEST(PrSocket, MuxSelRejectsNonexistentInput) {
@@ -154,7 +159,10 @@ TEST(PrSocket, ReadbackReturnsLastWrite) {
 }
 
 TEST(PrSocket, IomSocketToleratesNullWrapperAndClock) {
-  comm::SwitchBox box("sw", comm::SwitchBoxShape{2, 2, 1, 1});
+  sim::Simulator sim;
+  comm::SwitchFabric fabric(sim.create_domain("clk_sys", 100.0), 1,
+                            comm::SwitchBoxShape{2, 2, 1, 1});
+  comm::SwitchBox& box = fabric.box(0);
   comm::ProducerInterface p("p", 16);
   comm::ConsumerInterface c("c", 16);
   PrSocket socket("iom_sock", &box,
@@ -171,7 +179,10 @@ TEST(PrSocket, IomSocketToleratesNullWrapperAndClock) {
 
 TEST(PrSocket, MuxSelMustFitDcr) {
   // 8 outputs x 4-bit fields = 32 bits + 8 base bits > 32: rejected.
-  comm::SwitchBox box("sw", comm::SwitchBoxShape{4, 4, 4, 4});
+  sim::Simulator sim;
+  comm::SwitchFabric fabric(sim.create_domain("clk_sys", 100.0), 1,
+                            comm::SwitchBoxShape{4, 4, 4, 4});
+  comm::SwitchBox& box = fabric.box(0);
   EXPECT_THROW(PrSocket("sock", &box, {}, {}, nullptr, nullptr, nullptr,
                         nullptr),
                ModelError);

@@ -175,7 +175,8 @@ TEST(FabricDump, RendersRoutesSymbolically) {
 }
 
 TEST(FabricDump, PortNames) {
-  SwitchBox box("sw", SwitchBoxShape{2, 2, 1, 1});
+  FabricRig rig(1, SwitchBoxShape{2, 2, 1, 1});
+  const SwitchBox& box = rig.fabric->box(0);
   EXPECT_EQ(input_port_name(box, 0), "R0");
   EXPECT_EQ(input_port_name(box, 2), "L0");
   EXPECT_EQ(input_port_name(box, 4), "P0");

@@ -37,23 +37,16 @@ struct FabricRig {
       for (int ch = 0; ch < shape.ko; ++ch) {
         producers.push_back(std::make_unique<comm::ProducerInterface>(
             "p" + std::to_string(i) + "_" + std::to_string(ch), fifo_depth));
-        domain->attach(producers.back().get());
         fabric->attach_producer(i, ch, producers.back().get());
       }
       for (int ch = 0; ch < shape.ki; ++ch) {
         consumers.push_back(std::make_unique<comm::ConsumerInterface>(
             "c" + std::to_string(i) + "_" + std::to_string(ch), fifo_depth));
-        domain->attach(consumers.back().get());
         fabric->attach_consumer(i, ch, consumers.back().get());
       }
     }
     ko_ = shape.ko;
     ki_ = shape.ki;
-  }
-
-  ~FabricRig() {
-    for (auto& p : producers) domain->detach(p.get());
-    for (auto& c : consumers) domain->detach(c.get());
   }
 
   void run(sim::Cycles cycles) { sim.run_cycles(*domain, cycles); }
