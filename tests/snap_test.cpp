@@ -15,6 +15,7 @@
 #include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/check.hpp"
+#include "sim/fault.hpp"
 #include "snap/format.hpp"
 #include "snap/system_snapshot.hpp"
 
@@ -303,6 +304,82 @@ TEST(Snap, StatsAndMetricsRoundTrip) {
   EXPECT_EQ(before.bitcache.evictions, after.bitcache.evictions);
   EXPECT_EQ(before.bitcache.prefetch_issued, after.bitcache.prefetch_issued);
   EXPECT_EQ(before.bitcache.prefetch_useful, after.bitcache.prefetch_useful);
+}
+
+// A switch-box output that goes stuck mid-stream freezes its flit while
+// the rest of the route keeps moving. The snapshot must carry the latch
+// and the frozen value (the blob layout is pinned: its digest was
+// recorded before the fabric kept its registers in flat arrays), the
+// restored run must reach the uninterrupted run's bytes, and a repair
+// after restore must act on the restored fabric exactly as on the
+// original.
+TEST(Snap, StuckOutputMidStreamRoundTrip) {
+  obs::Registry::instance().reset();
+  core::VapresSystem sys(quad_params());
+  sys.bring_up_all_sites();
+  sched::ApplicationScheduler sched(sys);
+  const int app = sched.submit(make_app("stream", {"gain_x2"}, 2, 0));
+  sched.run_admission();
+  ASSERT_TRUE(sched.app(app).running());
+  sys.run_system_cycles(1500);
+  quiesce(sys);
+
+  // The first routed inter-box lane output carrying a valid flit.
+  comm::SwitchFabric& fab = sys.rsb().fabric();
+  const comm::SwitchBoxShape& sh = fab.shape();
+  int stuck_box = -1;
+  int stuck_port = -1;
+  for (int b = 0; b < fab.num_boxes() && stuck_box < 0; ++b) {
+    for (int p = 0; p < sh.kr + sh.kl; ++p) {
+      if (fab.box(b).selected(p) >= 0 &&
+          fab.box(b).output_signal(p)->valid) {
+        stuck_box = b;
+        stuck_port = p;
+        break;
+      }
+    }
+  }
+  ASSERT_GE(stuck_box, 0) << "no live lane carries a flit";
+  {
+    // Stick exactly that output on the next edge: opportunities are drawn
+    // box by box, port by port, so its flat index is its opportunity.
+    sim::ScopedFaultInjection faults(99);
+    faults->arm(sim::FaultSite::kSwitchBoxStuckPort,
+                static_cast<std::uint64_t>(stuck_box * sh.num_outputs() +
+                                           stuck_port));
+    sys.run_system_cycles(1);
+  }
+  ASSERT_TRUE(fab.box(stuck_box).output_stuck(stuck_port));
+  sys.run_system_cycles(700);  // mid-stream, port still stuck
+  quiesce(sys);
+  const std::string blob0 = SystemSnapshot::save(sys, 5, &sched);
+  EXPECT_EQ(fnv1a(blob0.data(), blob0.size()), 0x4d64fb561b2d7793ULL)
+      << std::hex << fnv1a(blob0.data(), blob0.size());
+
+  auto sys2 = SystemSnapshot::restore_system(blob0, quad_params());
+  auto sched2 = SystemSnapshot::restore_scheduler(blob0, *sys2);
+  comm::SwitchFabric& fab2 = sys2->rsb().fabric();
+  EXPECT_TRUE(fab2.box(stuck_box).output_stuck(stuck_port));
+  EXPECT_EQ(*fab2.box(stuck_box).output_signal(stuck_port),
+            *fab.box(stuck_box).output_signal(stuck_port));
+
+  // Uninterrupted and restored runs, stuck, then repaired.
+  sys.run_system_cycles(2000);
+  sys2->run_system_cycles(2000);
+  const std::string stuck_a = SystemSnapshot::save(sys, 6, &sched);
+  const std::string stuck_b = SystemSnapshot::save(*sys2, 6, sched2.get());
+  EXPECT_TRUE(stuck_a == stuck_b) << first_difference(stuck_a, stuck_b);
+
+  fab.box(stuck_box).repair_output(stuck_port);
+  fab2.box(stuck_box).repair_output(stuck_port);
+  sys.run_system_cycles(2000);
+  sys2->run_system_cycles(2000);
+  const std::string repaired_a = SystemSnapshot::save(sys, 7, &sched);
+  const std::string repaired_b = SystemSnapshot::save(*sys2, 7, sched2.get());
+  EXPECT_TRUE(repaired_a == repaired_b)
+      << first_difference(repaired_a, repaired_b);
+  EXPECT_FALSE(stuck_a == repaired_a);
+  EXPECT_EQ(sched.received_words(app), sched2->received_words(app));
 }
 
 // ---- warm restart ---------------------------------------------------------
