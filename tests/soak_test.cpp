@@ -7,6 +7,8 @@
 
 #include "load/fleet_soak.hpp"
 #include "load/soak.hpp"
+#include "sim/fault.hpp"
+#include "snap/format.hpp"
 
 namespace vapres {
 namespace {
@@ -67,6 +69,39 @@ TEST(Soak, DigestIsDeterministicPerSeed) {
   other.scenario = trimmed(other.seed, other.lifetimes, 1);
   const load::SoakResult c = load::run_soak(other);
   EXPECT_NE(a.digest, c.digest);
+}
+
+// A run stopped at its checkpoint and resumed from the blob must finish
+// with the uninterrupted run's digest. The blob (system + scheduler +
+// "soakharness" cursors) is pinned: its digest was recorded before the
+// snapshot schema was written as one two-way visit per class.
+TEST(Soak, ResumeFromSnapshotMatchesUninterruptedRun) {
+  load::SoakOptions base;
+  base.seed = 77;
+  base.lifetimes = 150;
+  base.scenario = trimmed(base.seed, base.lifetimes, 1);
+
+  // The blob's "fault" section carries the process-wide injector, which
+  // earlier tests in this binary may have left in any state.
+  { sim::ScopedFaultInjection reset(0); }
+  load::SoakOptions crash = base;
+  std::string blob;
+  crash.snapshot_at = 60;
+  crash.snapshot_out = &blob;
+  crash.stop_at_snapshot = true;
+  load::run_soak(crash);
+  ASSERT_FALSE(blob.empty());
+  const std::uint64_t pin = snap::fnv1a(blob.data(), blob.size());
+  EXPECT_EQ(pin, 0x5898f8091e496067ULL) << std::hex << pin;
+
+  const load::SoakResult plain = load::run_soak(base);
+  load::SoakOptions resume = base;
+  resume.resume_from = blob;
+  const load::SoakResult resumed = load::run_soak(resume);
+  EXPECT_TRUE(plain.ok()) << plain.invariants.to_string();
+  EXPECT_TRUE(resumed.ok()) << resumed.invariants.to_string();
+  EXPECT_EQ(resumed.digest, plain.digest);
+  EXPECT_EQ(resumed.final_cycle, plain.final_cycle);
 }
 
 TEST(FleetSoak, ThousandLifetimesOnTwoFabricsHoldEveryInvariant) {
