@@ -49,6 +49,14 @@ bool BitstreamManager::resident(const std::string& key) const {
   return entries_.count(key) > 0;
 }
 
+bool BitstreamManager::at_rest() const {
+  if (!staging_.empty() || reserved_bytes_ != 0) return false;
+  for (const auto& [key, e] : entries_) {
+    if (e.pins != 0) return false;
+  }
+  return true;
+}
+
 bool BitstreamManager::pinned(const std::string& key) const {
   auto it = entries_.find(key);
   return it != entries_.end() && it->second.pins > 0;

@@ -36,10 +36,6 @@
 #include "bitstream/storage.hpp"
 #include "core/reconfig.hpp"
 
-namespace vapres::snap {
-class SystemSnapshot;
-}
-
 namespace vapres::bitman {
 
 class PrefetchEngine;
@@ -159,17 +155,40 @@ class BitstreamManager {
     stats_.prefetch_cancelled += n;
   }
 
- private:
-  // Checkpoint/restore overlays residency metadata (LRU ticks, pins,
-  // prefetched flags), stats, and the per-PRR predictor tables
-  // (snap/system_snapshot.cpp).
-  friend class ::vapres::snap::SystemSnapshot;
+  /// No staging in flight, no SDRAM reserved for one, no entry pinned by
+  /// a transfer. A cold checkpoint requires it.
+  bool at_rest() const;
 
+  /// Snapshot fields (snap/format.hpp): options, stats, residency
+  /// metadata (LRU ticks, prefetched flags) and the per-PRR predictor
+  /// tables. The arrays themselves travel with the SDRAM contents.
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(opt_.stage_on_miss, opt_.stream_chunk_bytes, opt_.predict_next,
+       stats_.hits, stats_.misses, stats_.streamed_misses, stats_.evictions,
+       stats_.evicted_bytes, stats_.staged, stats_.replaced,
+       stats_.invalidations, stats_.prefetch_issued,
+       stats_.prefetch_completed, stats_.prefetch_cancelled,
+       stats_.prefetch_useful, use_tick_, entries_, last_module_,
+       next_after_);
+    if constexpr (Ar::kReading) {
+      VAPRES_REQUIRE(opt_.stream_chunk_bytes > 0,
+                     "restore: stream chunk size must be positive");
+    }
+  }
+
+ private:
   struct Entry {
     std::uint64_t last_use = 0;
     int pins = 0;
     bool prefetched = false;       ///< staged by the prefetch engine
     bool demand_hit_seen = false;  ///< already counted as prefetch_useful
+
+    /// Snapshot fields; a checkpoint never holds pins.
+    template <class Ar>
+    void visit(Ar& ar) {
+      ar(last_use, prefetched, demand_hit_seen);
+    }
   };
 
   void touch(Entry& e) { e.last_use = ++use_tick_; }

@@ -31,6 +31,12 @@ struct PartialBitstream {
   bool valid() const;
 };
 
+/// Snapshot fields (snap/format.hpp).
+template <class Ar>
+void visit(Ar& ar, PartialBitstream& bs) {
+  ar(bs.module_id, bs.target_prr, bs.region, bs.size_bytes, bs.tag);
+}
+
 struct StaticBitstream {
   std::string system_name;
   std::string device_name;

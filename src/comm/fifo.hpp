@@ -17,10 +17,6 @@
 #include "sim/check.hpp"
 #include "sim/component.hpp"
 
-namespace vapres::snap {
-class SystemSnapshot;
-}
-
 namespace vapres::comm {
 
 class Fifo {
@@ -72,11 +68,15 @@ class Fifo {
   std::uint64_t fault_dropped() const { return fault_dropped_; }
   std::uint64_t fault_duplicated() const { return fault_duplicated_; }
 
- private:
-  // Checkpoint/restore overlays contents and counters without waking
-  // targets or drawing fault opportunities (snap/system_snapshot.cpp).
-  friend class ::vapres::snap::SystemSnapshot;
+  /// Snapshot fields (snap/format.hpp). A restore overlays contents and
+  /// counters without waking targets or drawing fault opportunities.
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(words_, pushed_, popped_, fault_dropped_, fault_duplicated_,
+       high_watermark_);
+  }
 
+ private:
   void wake_targets();
 
   std::string name_;

@@ -37,6 +37,12 @@ struct Flit {
   friend constexpr bool operator==(const Flit&, const Flit&) = default;
 };
 
+/// Snapshot fields (snap/format.hpp).
+template <class Ar>
+void visit(Ar& ar, Flit& f) {
+  ar(f.data, f.valid);
+}
+
 inline constexpr Flit kIdleFlit{};
 
 }  // namespace vapres::comm

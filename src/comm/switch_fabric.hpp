@@ -33,10 +33,6 @@
 #include "comm/switch_box.hpp"
 #include "sim/clock.hpp"
 
-namespace vapres::snap {
-class SystemSnapshot;
-}
-
 namespace vapres::comm {
 
 /// A fully specified streaming-channel route: endpoints plus the lane to
@@ -54,6 +50,13 @@ struct RouteSpec {
   /// Switch boxes traversed (= registers on the forward path).
   int hops() const { return segments() + 1; }
 };
+
+/// Snapshot fields (snap/format.hpp).
+template <class Ar>
+void visit(Ar& ar, RouteSpec& s) {
+  ar(s.producer_box, s.producer_channel, s.consumer_box, s.consumer_channel,
+     s.lanes);
+}
 
 using RouteId = std::uint32_t;
 
@@ -118,13 +121,68 @@ class SwitchFabric final : public sim::Clocked {
   /// feedback pipeline is quiescent: further edges are no-ops.
   bool quiescent() const override;
 
+  /// Snapshot fields of the box registers (snap/format.hpp): per box its
+  /// input registers, then per output its mux select, value and stuck
+  /// latch. A restore rebuilds the live-port lists from them.
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar.count(boxes_.size(), "restore: switch-box count mismatch");
+    const auto ins = static_cast<std::size_t>(in_ports_);
+    const auto outs = static_cast<std::size_t>(out_ports_);
+    for (std::size_t b = 0; b < boxes_.size(); ++b) {
+      for (std::size_t k = b * ins; k < (b + 1) * ins; ++k) {
+        ar(regs_[k], regs_next_[k]);
+      }
+      for (std::size_t k = b * outs; k < (b + 1) * outs; ++k) {
+        bool stuck = stuck_[k] != 0;
+        ar(selects_[k], out_[k], stuck);
+        if constexpr (Ar::kReading) {
+          VAPRES_REQUIRE(selects_[k] >= -1 && selects_[k] < in_ports_,
+                         "restore: mux select out of range");
+          stuck_[k] = stuck ? 1 : 0;
+        }
+      }
+      ar(stuck_events_[b]);
+    }
+    if constexpr (Ar::kReading) invalidate_ports();
+  }
+
+  /// Snapshot fields of route `id` (snap/format.hpp): its consumer's
+  /// backpressure policy and its feedback-pipeline registers. A restore
+  /// first establishes `spec` under the saved id.
+  template <class Ar>
+  void visit_route(Ar& ar, RouteId id, const RouteSpec& spec) {
+    BackpressurePolicy policy = BackpressurePolicy::kPipelineDepth;
+    if constexpr (!Ar::kReading) policy = routes_.at(id).consumer->policy();
+    ar(policy);
+    if constexpr (Ar::kReading) {
+      VAPRES_REQUIRE(id != 0 && !route_active(id),
+                     "restore: duplicate route id");
+      next_route_id_ = id;
+      establish(spec, policy);
+    }
+    FeedbackPipeline& fb = routes_.at(id).feedback;
+    ar.count(static_cast<std::size_t>(fb.depth),
+             "restore: feedback depth mismatch");
+    for (int st = 0; st < fb.depth; ++st) {
+      bool stage = ((fb.stages >> st) & 1u) != 0;
+      ar(stage);
+      if constexpr (Ar::kReading) {
+        const std::uint64_t bit = std::uint64_t{1} << st;
+        fb.stages = stage ? (fb.stages | bit) : (fb.stages & ~bit);
+      }
+    }
+    ar(fb.output);
+  }
+
+  /// Snapshot field of the route-id counter (snap/format.hpp).
+  template <class Ar>
+  void visit_next_route_id(Ar& ar) {
+    ar(next_route_id_);
+  }
+
  private:
   friend class SwitchBox;
-  // Checkpoint/restore overlays the box registers (then invalidates the
-  // live ports derived from them), re-establishes routes under their
-  // original ids (forcing next_route_id_) and overlays feedback-pipeline
-  // stages (snap/system_snapshot.cpp).
-  friend class ::vapres::snap::SystemSnapshot;
 
   /// Backward shift register carrying the consumer's full signal to the
   /// producer with one register per traversed switch box. Bit i of

@@ -106,6 +106,24 @@ std::optional<ChannelId> ChannelManager::establish(
   return id;
 }
 
+void ChannelManager::adopt(ChannelId id, Entry e) {
+  const comm::RouteSpec& spec = e.spec;
+  const ChannelEndpoint producer{spec.producer_box, spec.producer_channel};
+  const ChannelEndpoint consumer{spec.consumer_box, spec.consumer_channel};
+  VAPRES_REQUIRE(channels_.count(id) == 0 && producers_used_.count(producer) == 0 &&
+                     consumers_used_.count(consumer) == 0,
+                 "restore: channel id or endpoint registered twice");
+  const bool rightward = spec.rightward();
+  for (int seg = 0; seg < spec.segments(); ++seg) {
+    lane_table(physical_segment(spec, seg), rightward)
+        [static_cast<std::size_t>(spec.lanes[static_cast<std::size_t>(seg)])] =
+            true;
+  }
+  producers_used_.insert(producer);
+  consumers_used_.insert(consumer);
+  channels_.emplace(id, std::move(e));
+}
+
 void ChannelManager::release(ChannelId id) {
   auto it = channels_.find(id);
   VAPRES_REQUIRE(it != channels_.end(), "release of unknown channel");

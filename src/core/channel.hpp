@@ -18,10 +18,6 @@
 
 #include "comm/switch_fabric.hpp"
 
-namespace vapres::snap {
-class SystemSnapshot;
-}
-
 namespace vapres::core {
 
 struct ChannelEndpoint {
@@ -63,18 +59,40 @@ class ChannelManager {
   /// write per traversed switch box plus the endpoint wen/ren writes.
   static int dcr_writes_for(const comm::RouteSpec& spec);
 
- private:
-  // Checkpoint/restore re-registers channels under their original ids
-  // with their exact saved route specs — replaying establish() could
-  // pick different lanes than the saved interleaving of establishes and
-  // releases did (snap/system_snapshot.cpp).
-  friend class ::vapres::snap::SystemSnapshot;
+  /// Snapshot fields (snap/format.hpp): every channel with its route spec
+  /// and fabric route, then the id counters. A restore (into a manager
+  /// with no channels) re-registers each channel under its saved id with
+  /// its exact saved spec and re-establishes the route under its saved
+  /// route id — replaying establish() could pick different lanes than the
+  /// saved interleaving of establishes and releases did.
+  template <class Ar>
+  void visit(Ar& ar) {
+    auto n = static_cast<std::uint32_t>(channels_.size());
+    ar(n);
+    auto it = channels_.begin();
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ChannelId id = 0;
+      Entry e;
+      if constexpr (!Ar::kReading) {
+        id = it->first;
+        e = (it++)->second;
+      }
+      ar(id, e.spec, e.route);
+      fabric_.visit_route(ar, e.route, e.spec);
+      if constexpr (Ar::kReading) adopt(id, std::move(e));
+    }
+    ar(next_id_);
+    fabric_.visit_next_route_id(ar);
+  }
 
+ private:
   struct Entry {
     comm::RouteId route = 0;
     comm::RouteSpec spec;
   };
 
+  /// Registers an already-routed channel under `id` (snapshot restore).
+  void adopt(ChannelId id, Entry e);
   int physical_segment(const comm::RouteSpec& spec, int route_seg) const;
   std::vector<bool>& lane_table(int segment, bool rightward);
   const std::vector<bool>& lane_table(int segment, bool rightward) const;

@@ -89,6 +89,12 @@ void Iom::set_source_generator(
   wake();
 }
 
+void Iom::resume_source_generator(
+    std::function<std::optional<comm::Word>()> gen, int channel) {
+  source(channel).generator = std::move(gen);
+  wake();
+}
+
 void Iom::stop_source(int channel) { source(channel).generator = nullptr; }
 
 bool Iom::source_active(int channel) const {
@@ -97,6 +103,11 @@ bool Iom::source_active(int channel) const {
 
 std::uint64_t Iom::words_emitted(int channel) const {
   return source(channel).words_emitted;
+}
+
+std::uint64_t Iom::words_drawn(int channel) const {
+  const Source& src = source(channel);
+  return src.words_emitted + (src.pending.has_value() ? 1 : 0);
 }
 
 std::uint64_t Iom::source_stall_cycles(int channel) const {

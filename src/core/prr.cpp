@@ -94,6 +94,11 @@ comm::ProducerInterface& Prr::producer(int channel) {
   return *producers_[static_cast<std::size_t>(channel)];
 }
 
+void Prr::unload_module() {
+  if (wrapper_->loaded()) wrapper_->unload();
+  loaded_module_.clear();
+}
+
 void Prr::apply_bitstream(const bitstream::PartialBitstream& bs,
                           const hwmodule::ModuleLibrary& library) {
   VAPRES_REQUIRE(bs.valid(), name_ + ": corrupt bitstream");

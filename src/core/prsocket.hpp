@@ -67,6 +67,17 @@ class PrSocket final : public comm::DcrSlave {
   /// Convenience for software: read-modify-write single control bits.
   comm::DcrValue value() const { return value_; }
 
+  /// Snapshot field (snap/format.hpp). A restore writes the value through
+  /// dcr_write — directly, not over the bus, so the bus access count stays
+  /// flat — and its side effects (enables, resets, mux and clock selects)
+  /// replay.
+  template <class Ar>
+  void visit(Ar& ar) {
+    comm::DcrValue v = value_;
+    ar(v);
+    if constexpr (Ar::kReading) dcr_write(v);
+  }
+
  private:
   void apply(comm::DcrValue old_value, comm::DcrValue new_value);
 

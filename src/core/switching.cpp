@@ -18,6 +18,28 @@ ModuleSwitcher::ModuleSwitcher(VapresSystem& sys, SwitchRequest req)
                  "unknown module: " + req_.new_module_id);
 }
 
+int ModuleSwitcher::resume_journaled() {
+  std::uint16_t code = 0;
+  switch (state_) {
+    case State::kQuiesceUpstream:   code = obs::ev::kStep2QuiesceUpstream; break;
+    case State::kRerouteUpstream:   code = obs::ev::kStep3RerouteUpstream; break;
+    case State::kSendFlush:         code = obs::ev::kStep4SendFlush; break;
+    case State::kCollectState:      code = obs::ev::kStep5CollectState; break;
+    case State::kInitNewModule:     code = obs::ev::kStep6InitNewModule; break;
+    case State::kWaitIomEos:        code = obs::ev::kStep7WaitIomEos; break;
+    case State::kQuiesceSrc:        code = obs::ev::kStep8QuiesceSrc; break;
+    case State::kRerouteDownstream: code = obs::ev::kStep9RerouteDownstream; break;
+    default:
+      VAPRES_REQUIRE(false, "resume: journaled switch is not past its PR");
+  }
+  reconfig_complete_ = true;
+  obs_track_ = obs::EventBus::instance().track(
+      rsb().prr(req_.src_prr).name() + ".switch");
+  enter_step(code);
+  sys_.mb().add_task(this);
+  return code;
+}
+
 void ModuleSwitcher::close_step() {
   if (!step_span_.open()) return;
   obs::Histogram& hist = obs::Registry::instance().histogram(

@@ -58,6 +58,12 @@ struct ClbRect {
   std::string to_string() const;
 };
 
+/// Snapshot fields (snap/format.hpp).
+template <class Ar>
+void visit(Ar& ar, ClbRect& r) {
+  ar(r.row, r.col, r.height, r.width);
+}
+
 /// The set of local clock regions a rectangle touches.
 std::vector<ClockRegionId> regions_spanned(const ClbRect& rect,
                                            const DeviceGeometry& dev);

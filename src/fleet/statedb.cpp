@@ -4,38 +4,16 @@
 #include <cstdio>
 
 #include "sim/check.hpp"
+#include "snap/format.hpp"
 
 namespace vapres::fleet {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fold_bytes(std::uint64_t& h, const char* data, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= kFnvPrime;
-  }
-}
-
-void fold_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
-
-void fold_str(std::uint64_t& h, const std::string& s) {
-  fold_u64(h, s.size());
-  fold_bytes(h, s.data(), s.size());
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
+using snap::fold_str;
+using snap::fold_u64;
+using snap::kFnvOffset;
+using snap::put_u64;
 
 constexpr char kUnit = '\x1F';  ///< field separator in request blobs
 
@@ -181,7 +159,7 @@ const JournalEntry& StateDb::append(AgentId agent, Op op, std::int64_t key,
   e.args = args;
   e.note = std::move(note);
   const std::string bytes = e.to_bytes();
-  fold_bytes(journal_digest_, bytes.data(), bytes.size());
+  journal_digest_ = snap::fnv1a(bytes.data(), bytes.size(), journal_digest_);
   journal_.push_back(std::move(e));
   apply(view_, journal_.back());
   if (journal_.back().op == Op::kAgentRestart) {

@@ -226,4 +226,14 @@ void ModuleWrapper::commit() {
   }
 }
 
+void ModuleWrapper::restore_behavior(const std::vector<Word>& state,
+                                     const std::vector<Word>& extra) {
+  if (!state.empty() || !behavior_->save_state().empty()) {
+    behavior_->restore_state(state);
+  }
+  if (!extra.empty() || !behavior_->snapshot_extra().empty()) {
+    behavior_->restore_extra(extra);
+  }
+}
+
 }  // namespace vapres::hwmodule

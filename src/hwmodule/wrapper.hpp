@@ -28,10 +28,6 @@
 #include "hwmodule/hw_module.hpp"
 #include "sim/component.hpp"
 
-namespace vapres::snap {
-class SystemSnapshot;
-}
-
 namespace vapres::hwmodule {
 
 /// Reserved FSL control words.
@@ -82,6 +78,7 @@ class ModuleWrapper final : public sim::Clocked, private ModulePorts {
   bool isolated() const { return isolated_; }
 
   enum class Phase { kIdle, kRunning, kDraining, kSendEos, kSendState, kDone };
+  friend constexpr Phase enum_last(Phase) { return Phase::kDone; }
   Phase phase() const { return phase_; }
 
   /// Words the behaviour has consumed from port 0 (monitoring aid).
@@ -95,10 +92,35 @@ class ModuleWrapper final : public sim::Clocked, private ModulePorts {
   /// consumer FIFOs or the t-link FSL (wired in the constructor).
   bool quiescent() const override;
 
+  /// Snapshot fields (snap/format.hpp): protocol phase, in-flight
+  /// state-frame buffers and, with a module loaded, its state and extra
+  /// words. A restore expects the saved module already loaded.
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar(phase_, in_reset_, isolated_, words_processed_, state_out_,
+       state_cursor_, load_remaining_, state_in_);
+    if constexpr (Ar::kReading) {
+      // The outgoing frame is header, count, then the state words.
+      VAPRES_REQUIRE(
+          state_cursor_ <= state_out_.size() + 2 && load_remaining_ >= -2,
+          "restore: state-frame cursor out of range");
+    }
+    if (behavior_ == nullptr) return;
+    std::vector<Word> state;
+    std::vector<Word> extra;
+    if constexpr (!Ar::kReading) {
+      state = behavior_->save_state();
+      extra = behavior_->snapshot_extra();
+    }
+    ar(state, extra);
+    if constexpr (Ar::kReading) restore_behavior(state, extra);
+  }
+
  private:
-  // Checkpoint/restore overlays the protocol phase and in-flight
-  // state-frame buffers (snap/system_snapshot.cpp).
-  friend class ::vapres::snap::SystemSnapshot;
+  /// Hands restored state and extra words to the loaded behaviour; one
+  /// with neither kind of state need not implement the restore hooks.
+  void restore_behavior(const std::vector<Word>& state,
+                        const std::vector<Word>& extra);
 
   // ModulePorts implementation (behaviour-facing).
   int num_inputs() const override;

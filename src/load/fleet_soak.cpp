@@ -10,20 +10,13 @@
 #include "obs/metrics.hpp"
 #include "sim/fault.hpp"
 #include "sim/random.hpp"
+#include "snap/format.hpp"
 
 namespace vapres::load {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fold(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
+using snap::fold_u64;
 
 std::string route_hist_name(const std::string& fabric, bool first_choice) {
   return "fleet.route." + fabric +
@@ -122,7 +115,7 @@ std::string FleetSoakResult::summary() const {
 FleetSoakResult run_fleet_soak(const FleetSoakOptions& opt) {
   const auto wall_start = std::chrono::steady_clock::now();
   FleetSoakResult res;
-  res.digest = kFnvOffset;
+  res.digest = snap::kFnvOffset;
 
   obs::Registry::instance().reset();
 
@@ -196,8 +189,8 @@ FleetSoakResult run_fleet_soak(const FleetSoakOptions& opt) {
     }
     const std::uint64_t offset = 1 + kill_rng.next() % 8;
     fc.schedule_kill(agent, fc.statedb().version() + offset);
-    fold(res.digest, pick);
-    fold(res.digest, offset);
+    fold_u64(res.digest, pick);
+    fold_u64(res.digest, offset);
   };
   // After any restart fired mid-pump, prove the restarted plane
   // reconverged: the table-vs-scheduler sweep is clean on every fabric
@@ -229,9 +222,9 @@ FleetSoakResult run_fleet_soak(const FleetSoakOptions& opt) {
                      opt.gap_bound_cycles, res.invariants);
     fc.stop(fleet_id);
     const sched::AppRecord& done = fc.record_of(fleet_id);
-    fold(res.digest, static_cast<std::uint64_t>(fleet_id));
-    fold(res.digest, done.final_words_in);
-    fold(res.digest, done.final_words_out);
+    fold_u64(res.digest, static_cast<std::uint64_t>(fleet_id));
+    fold_u64(res.digest, done.final_words_in);
+    fold_u64(res.digest, done.final_words_out);
     gap_armed.erase(fleet_id);
   };
 
@@ -329,26 +322,26 @@ FleetSoakResult run_fleet_soak(const FleetSoakOptions& opt) {
     fc.advance_to(ev->at_cycle);
     stop_departed();
 
-    fold(res.digest, ev->sequence);
-    fold(res.digest, ev->at_cycle);
-    fold(res.digest, static_cast<std::uint64_t>(ev->class_index));
-    fold(res.digest, static_cast<std::uint64_t>(ev->request.priority));
-    fold(res.digest,
+    fold_u64(res.digest, ev->sequence);
+    fold_u64(res.digest, ev->at_cycle);
+    fold_u64(res.digest, static_cast<std::uint64_t>(ev->class_index));
+    fold_u64(res.digest, static_cast<std::uint64_t>(ev->request.priority));
+    fold_u64(res.digest,
          static_cast<std::uint64_t>(ev->request.source_interval_cycles));
-    fold(res.digest, ev->request.source_words);
-    fold(res.digest, ev->hold_cycles);
-    fold(res.digest, ev->churn_stop ? 1u : 0u);
-    fold(res.digest, static_cast<std::uint64_t>(ev->tenant));
-    fold(res.digest, ev->migrate ? 1u : 0u);
+    fold_u64(res.digest, ev->request.source_words);
+    fold_u64(res.digest, ev->hold_cycles);
+    fold_u64(res.digest, ev->churn_stop ? 1u : 0u);
+    fold_u64(res.digest, static_cast<std::uint64_t>(ev->tenant));
+    fold_u64(res.digest, ev->migrate ? 1u : 0u);
 
     maybe_schedule_kill();
     const std::string tenant = "t" + std::to_string(ev->tenant);
     const fleet::RouteDecision d = fc.submit(tenant, ev->request);
     absorb_restarts();
-    fold(res.digest, d.admitted ? 1u : 0u);
-    fold(res.digest, static_cast<std::uint64_t>(d.fabric + 1));
-    fold(res.digest, static_cast<std::uint64_t>(d.verdict));
-    fold(res.digest, d.quota_limited ? 1u : 0u);
+    fold_u64(res.digest, d.admitted ? 1u : 0u);
+    fold_u64(res.digest, static_cast<std::uint64_t>(d.fabric + 1));
+    fold_u64(res.digest, static_cast<std::uint64_t>(d.verdict));
+    fold_u64(res.digest, d.quota_limited ? 1u : 0u);
     if (d.admitted) {
       departures.emplace(fc.now() + ev->hold_cycles, d.fleet_id);
       // Route-order tail latency: first-choice admissions vs apps that
@@ -409,8 +402,8 @@ FleetSoakResult run_fleet_soak(const FleetSoakOptions& opt) {
         const fleet::MigrateResult mr = fc.migrate(victim, dst);
         absorb_restarts();
         ++res.migrations_attempted;
-        fold(res.digest, static_cast<std::uint64_t>(victim));
-        fold(res.digest, static_cast<std::uint64_t>(mr.outcome));
+        fold_u64(res.digest, static_cast<std::uint64_t>(victim));
+        fold_u64(res.digest, static_cast<std::uint64_t>(mr.outcome));
         arm_running();  // a moved app streams on a new sink channel
       }
     }
@@ -435,8 +428,8 @@ FleetSoakResult run_fleet_soak(const FleetSoakOptions& opt) {
                                         t0)
               .count();
       absorb_restarts();
-      fold(res.digest, tripped);
-      fold(res.digest,
+      fold_u64(res.digest, tripped);
+      fold_u64(res.digest,
            static_cast<std::uint64_t>(fc.statedb().available_fabrics()));
     }
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <type_traits>
 #include <unordered_set>
 
 #include "obs/health/flight.hpp"
@@ -20,15 +21,7 @@ namespace vapres::load {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fold(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
+using snap::fold_u64;
 
 /// The FaultInjector is process-global; never leak an enabled storm
 /// into whatever runs after the soak (other tests in the same binary).
@@ -90,7 +83,7 @@ std::string SoakResult::summary() const {
 SoakResult run_soak(const SoakOptions& opt) {
   const auto wall_start = std::chrono::steady_clock::now();
   SoakResult res;
-  res.digest = kFnvOffset;
+  res.digest = snap::kFnvOffset;
 
   ScenarioSpec spec = opt.scenario ? *opt.scenario
                                    : ScenarioSpec::standard(opt.seed,
@@ -111,6 +104,28 @@ SoakResult run_soak(const SoakOptions& opt) {
   // Departure schedule (see below); restored from a resume blob.
   std::multimap<sim::Cycles, int> departures;
 
+  // The harness cursors a checkpoint carries next to the system snapshot
+  // (section "soakharness"), listed once for checkpoint and resume: the
+  // generator and clock-check cursors, the run digest, the departure
+  // schedule and the gap-armed apps (sorted, so the bytes are
+  // deterministic).
+  auto visit_harness = [&](auto& ar, std::string& sys_blob) {
+    ScenarioGenerator::State gs = gen.state();
+    MonotoneClockCheck::State cs = clock_check.state();
+    std::vector<int> armed(gap_armed.begin(), gap_armed.end());
+    std::sort(armed.begin(), armed.end());
+    ar(gs.rng, gs.side_rng, gs.phase, gs.emitted_in_phase, gs.sequence,
+       gs.clock, gs.burst_left, gs.quiet_left, res.digest, res.churn_stops,
+       conservation_watermark, storm_on, last_phase, cs.last_ps,
+       cs.last_cycle, cs.seen, res.invariants.checks_run,
+       res.invariants.violations, departures, armed, sys_blob);
+    if constexpr (std::remove_reference_t<decltype(ar)>::kReading) {
+      gen.set_state(gs);
+      clock_check.set_state(cs);
+      gap_armed.insert(armed.begin(), armed.end());
+    }
+  };
+
   std::unique_ptr<core::VapresSystem> sys_owner;
   std::unique_ptr<sched::ApplicationScheduler> sched_owner;
   if (!opt.resume_from.empty()) {
@@ -118,43 +133,9 @@ SoakResult run_soak(const SoakOptions& opt) {
     // embedded snapshot (which also rewinds the metrics registry and the
     // fault injector), then overlay the harness cursors so the event
     // stream and the run digest continue exactly where they stopped.
-    const snap::SnapshotReader r(opt.resume_from);
-    r.open_section("soakharness");
-    ScenarioGenerator::State gs;
-    gs.rng = r.u64();
-    gs.side_rng = r.u64();
-    gs.phase = r.u64();
-    gs.emitted_in_phase = r.u64();
-    gs.sequence = r.u64();
-    gs.clock = r.f64();
-    gs.burst_left = r.u64();
-    gs.quiet_left = r.u64();
-    gen.set_state(gs);
-    res.digest = r.u64();
-    res.churn_stops = r.u64();
-    conservation_watermark = static_cast<int>(r.i64());
-    storm_on = r.boolean();
-    last_phase = static_cast<std::size_t>(r.u64());
-    MonotoneClockCheck::State cs;
-    cs.last_ps = r.u64();
-    cs.last_cycle = r.u64();
-    cs.seen = r.boolean();
-    clock_check.set_state(cs);
-    res.invariants.checks_run = r.u64();
-    const std::uint32_t n_violations = r.u32();
-    for (std::uint32_t i = 0; i < n_violations; ++i) {
-      res.invariants.violations.push_back(r.str());
-    }
-    const std::uint32_t n_departures = r.u32();
-    for (std::uint32_t i = 0; i < n_departures; ++i) {
-      const sim::Cycles at = r.u64();
-      departures.emplace(at, static_cast<int>(r.i64()));
-    }
-    const std::uint32_t n_armed = r.u32();
-    for (std::uint32_t i = 0; i < n_armed; ++i) {
-      gap_armed.insert(static_cast<int>(r.i64()));
-    }
-    const std::string sys_blob = r.str();
+    snap::SnapshotReader r(opt.resume_from);
+    std::string sys_blob;
+    r.section("soakharness", [&] { visit_harness(r, sys_blob); });
     sys_owner = snap::SystemSnapshot::restore_system(sys_blob,
                                                      server_params());
     sched_owner =
@@ -187,9 +168,9 @@ SoakResult run_soak(const SoakOptions& opt) {
                      opt.gap_bound_cycles, res.invariants);
     sched.stop(id);
     const sched::AppRecord& done = sched.app(id);
-    fold(res.digest, static_cast<std::uint64_t>(id));
-    fold(res.digest, done.final_words_in);
-    fold(res.digest, done.final_words_out);
+    fold_u64(res.digest, static_cast<std::uint64_t>(id));
+    fold_u64(res.digest, done.final_words_in);
+    fold_u64(res.digest, done.final_words_out);
     gap_armed.erase(id);
   };
 
@@ -222,42 +203,10 @@ SoakResult run_soak(const SoakOptions& opt) {
     while (sys.prefetch().pending() > 0 || sys.prefetch().staging()) {
       sys.run_system_cycles(64);
     }
-    const std::string sys_blob =
+    std::string sys_blob =
         snap::SystemSnapshot::save(sys, processed, &sched);
     snap::SnapshotWriter w(processed);
-    w.begin_section("soakharness");
-    const ScenarioGenerator::State gs = gen.state();
-    w.u64(gs.rng);
-    w.u64(gs.side_rng);
-    w.u64(gs.phase);
-    w.u64(gs.emitted_in_phase);
-    w.u64(gs.sequence);
-    w.f64(gs.clock);
-    w.u64(gs.burst_left);
-    w.u64(gs.quiet_left);
-    w.u64(res.digest);
-    w.u64(res.churn_stops);
-    w.i64(conservation_watermark);
-    w.boolean(storm_on);
-    w.u64(static_cast<std::uint64_t>(last_phase));
-    const MonotoneClockCheck::State cs = clock_check.state();
-    w.u64(cs.last_ps);
-    w.u64(cs.last_cycle);
-    w.boolean(cs.seen);
-    w.u64(res.invariants.checks_run);
-    w.u32(static_cast<std::uint32_t>(res.invariants.violations.size()));
-    for (const std::string& v : res.invariants.violations) w.str(v);
-    w.u32(static_cast<std::uint32_t>(departures.size()));
-    for (const auto& [at, id] : departures) {
-      w.u64(at);
-      w.i64(id);
-    }
-    std::vector<int> armed(gap_armed.begin(), gap_armed.end());
-    std::sort(armed.begin(), armed.end());
-    w.u32(static_cast<std::uint32_t>(armed.size()));
-    for (const int id : armed) w.i64(id);
-    w.str(sys_blob);
-    w.end_section();
+    w.section("soakharness", [&] { visit_harness(w, sys_blob); });
     std::string blob = w.finish();
     ++res.snapshots_taken;
     res.checkpoint_wall_seconds +=
@@ -371,20 +320,20 @@ SoakResult run_soak(const SoakOptions& opt) {
     if (ev->at_cycle > now) sys.run_system_cycles(ev->at_cycle - now);
     stop_departed();
 
-    fold(res.digest, ev->sequence);
-    fold(res.digest, ev->at_cycle);
-    fold(res.digest, static_cast<std::uint64_t>(ev->class_index));
-    fold(res.digest, static_cast<std::uint64_t>(ev->request.priority));
-    fold(res.digest,
+    fold_u64(res.digest, ev->sequence);
+    fold_u64(res.digest, ev->at_cycle);
+    fold_u64(res.digest, static_cast<std::uint64_t>(ev->class_index));
+    fold_u64(res.digest, static_cast<std::uint64_t>(ev->request.priority));
+    fold_u64(res.digest,
          static_cast<std::uint64_t>(ev->request.source_interval_cycles));
-    fold(res.digest, ev->request.source_words);
-    fold(res.digest, ev->hold_cycles);
-    fold(res.digest, ev->churn_stop ? 1u : 0u);
+    fold_u64(res.digest, ev->request.source_words);
+    fold_u64(res.digest, ev->hold_cycles);
+    fold_u64(res.digest, ev->churn_stop ? 1u : 0u);
 
     const int id = sched.submit(ev->request);
     sched.run_admission();
-    fold(res.digest, static_cast<std::uint64_t>(id));
-    fold(res.digest, static_cast<std::uint64_t>(sched.app(id).verdict));
+    fold_u64(res.digest, static_cast<std::uint64_t>(id));
+    fold_u64(res.digest, static_cast<std::uint64_t>(sched.app(id).verdict));
     if (sched.app(id).running()) {
       departures.emplace(sys.system_clock().cycle_count() + ev->hold_cycles,
                          id);

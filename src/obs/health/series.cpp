@@ -6,27 +6,9 @@
 
 namespace vapres::obs::health {
 
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void fold_u64(std::uint64_t& d, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    d ^= (v >> (8 * i)) & 0xff;
-    d *= kFnvPrime;
-  }
-}
-
-void fold_str(std::uint64_t& d, const std::string& s) {
-  fold_u64(d, s.size());
-  for (const char c : s) {
-    d ^= static_cast<unsigned char>(c);
-    d *= kFnvPrime;
-  }
-}
-
-}  // namespace
+using snap::fold_str;
+using snap::fold_u64;
+using snap::kFnvOffset;
 
 TimeSeries::TimeSeries(std::size_t capacity)
     : ring_(capacity == 0 ? 1 : capacity) {}

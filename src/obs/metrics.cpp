@@ -90,21 +90,15 @@ Registry& Registry::instance() {
 }
 
 Counter& Registry::counter(const std::string& name) {
-  auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<Counter>();
-  return *slot;
+  return slot(counters_, name);
 }
 
 Gauge& Registry::gauge(const std::string& name) {
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return *slot;
+  return slot(gauges_, name);
 }
 
 Histogram& Registry::histogram(const std::string& name) {
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>();
-  return *slot;
+  return slot(histograms_, name);
 }
 
 MetricsSnapshot Registry::snapshot() const {

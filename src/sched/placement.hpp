@@ -21,6 +21,9 @@ enum class PlacementPolicy {
   kFirstFit,  ///< lowest index that fits (the RuntimeAssembler baseline)
   kBestFit,   ///< fewest wasted slices; ties broken by lowest index
 };
+constexpr PlacementPolicy enum_last(PlacementPolicy) {
+  return PlacementPolicy::kBestFit;
+}
 
 const char* policy_name(PlacementPolicy p);
 
@@ -66,6 +69,17 @@ class FabricMap {
   /// Occupied module slices / total PRR slices (fabric utilization).
   double utilization() const;
   int total_slices() const { return total_slices_; }
+
+  /// Snapshot fields (snap/format.hpp): every slot's occupancy; the slot
+  /// rectangles come from the floorplan.
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar.count(slots_.size(), "restore: fabric-map size mismatch");
+    for (PrrSlot& s : slots_) {
+      ar(s.free, s.app_id, s.chain_pos, s.module_id, s.module_slices,
+         s.migratable);
+    }
+  }
 
  private:
   std::vector<PrrSlot> slots_;

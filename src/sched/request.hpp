@@ -40,6 +40,12 @@ struct AppRequest {
   static std::string node_name(int i) { return "n" + std::to_string(i); }
 };
 
+/// Snapshot fields (snap/format.hpp).
+template <class Ar>
+void visit(Ar& ar, AppRequest& r) {
+  ar(r.name, r.modules, r.priority, r.source_interval_cycles, r.source_words);
+}
+
 /// Where an admission attempt ended up.
 enum class AdmissionVerdict {
   kPending = 0,            ///< still queued, not yet decided
@@ -54,6 +60,9 @@ enum class AdmissionVerdict {
   kRejectedNoRoute,        ///< switch-box lane capacity exhausted
   kRejectedPrFailure,      ///< permanent PR failure while launching
 };
+constexpr AdmissionVerdict enum_last(AdmissionVerdict) {
+  return AdmissionVerdict::kRejectedPrFailure;
+}
 
 const char* verdict_name(AdmissionVerdict v);
 
@@ -65,6 +74,7 @@ enum class AppState {
   kPreempted,  ///< was running, evicted for a higher-priority app
   kStopped,    ///< stopped via ApplicationScheduler::stop
 };
+constexpr AppState enum_last(AppState) { return AppState::kStopped; }
 
 const char* state_name(AppState s);
 
@@ -73,6 +83,11 @@ struct IomChannelRef {
   int iom = 0;
   int channel = 0;
 };
+
+template <class Ar>
+void visit(Ar& ar, IomChannelRef& c) {
+  ar(c.iom, c.channel);
+}
 
 /// Scheduler-side record of one submitted application.
 struct AppRecord {
@@ -108,5 +123,15 @@ struct AppRecord {
 
   bool running() const { return state == AppState::kRunning; }
 };
+
+/// Snapshot fields (snap/format.hpp).
+template <class Ar>
+void visit(Ar& ar, AppRecord& r) {
+  ar(r.id, r.request, r.state, r.verdict, r.reject_reason, r.source, r.sink,
+     r.prrs, r.channels, r.clocks_mhz, r.submitted_at, r.launched_at,
+     r.stopped_at, r.admission_mb_cycles, r.base_words_emitted,
+     r.base_words_received, r.final_words_in, r.final_words_out,
+     r.migrations);
+}
 
 }  // namespace vapres::sched

@@ -30,6 +30,15 @@ std::uint32_t sched_track() {
 
 }  // namespace
 
+std::function<std::optional<comm::Word>()> counting_source(
+    std::uint64_t first, std::uint64_t limit) {
+  return [n = first, limit]() mutable -> std::optional<comm::Word> {
+    if (limit > 0 && n >= limit) return std::nullopt;
+    // Mask below the all-ones EOS word so data is never EOS.
+    return static_cast<comm::Word>((n++) & 0x7FFFFFFFu);
+  };
+}
+
 ApplicationScheduler::ApplicationScheduler(core::VapresSystem& sys)
     : ApplicationScheduler(sys, Options{}) {}
 
@@ -166,6 +175,109 @@ const AppRecord& ApplicationScheduler::record(int app_id) const {
                  "app id " + std::to_string(app_id) +
                      " out of range or retired");
   return apps_[static_cast<std::size_t>(app_id - first_id_)];
+}
+
+void ApplicationScheduler::check_journal() {
+  core::Rsb& r = rsb();
+  VAPRES_REQUIRE(first_id_ >= 0, "restore: negative first app id");
+  VAPRES_REQUIRE(source_busy_.size() == static_cast<std::size_t>(r.num_ioms()) &&
+                     sink_busy_.size() == source_busy_.size(),
+                 "restore: channel-busy table shape mismatch");
+  for (int i = 0; i < r.num_ioms(); ++i) {
+    core::Iom& iom = r.iom(i);
+    const auto k = static_cast<std::size_t>(i);
+    VAPRES_REQUIRE(
+        source_busy_[k].size() ==
+                static_cast<std::size_t>(iom.num_producers()) &&
+            sink_busy_[k].size() ==
+                static_cast<std::size_t>(iom.num_consumers()),
+        "restore: channel-busy table shape mismatch");
+  }
+  const auto in_range = [](int v, int n) { return v >= 0 && v < n; };
+  std::int64_t expected_id = first_id_;
+  for (const AppRecord& rec : apps_) {
+    VAPRES_REQUIRE(rec.id == expected_id++, "restore: app records out of order");
+    if (!rec.running()) continue;
+    VAPRES_REQUIRE(in_range(rec.source.iom, r.num_ioms()) &&
+                       in_range(rec.sink.iom, r.num_ioms()),
+                   "restore: app IOM out of range");
+    core::Iom& src = r.iom(rec.source.iom);
+    core::Iom& snk = r.iom(rec.sink.iom);
+    VAPRES_REQUIRE(in_range(rec.source.channel, src.num_producers()) &&
+                       in_range(rec.sink.channel, snk.num_consumers()),
+                   "restore: app IOM channel out of range");
+    VAPRES_REQUIRE(rec.prrs.size() == rec.request.modules.size(),
+                   "restore: app placement does not match its chain");
+    for (const int p : rec.prrs) {
+      VAPRES_REQUIRE(in_range(p, r.num_prrs()), "restore: app PRR out of range");
+    }
+  }
+}
+
+Reconciliation ApplicationScheduler::reconcile(
+    const std::map<core::ChannelId, core::ChannelId>& renamed) {
+  Reconciliation out;
+  const FabricMap journaled = map_;
+  for (int p = 0; p < map_.num_slots(); ++p) map_.release(p);
+  for (auto& row : source_busy_) row.assign(row.size(), false);
+  for (auto& row : sink_busy_) row.assign(row.size(), false);
+
+  core::Rsb& r = rsb();
+  for (AppRecord& rec : apps_) {
+    if (!rec.running()) continue;
+    // Every placed module must still occupy its PRR, every channel must
+    // still be routed.
+    std::string why;
+    for (std::size_t pos = 0; pos < rec.prrs.size() && why.empty(); ++pos) {
+      core::Prr& prr = r.prr(rec.prrs[pos]);
+      if (!prr.occupied() || prr.loaded_module() != rec.request.modules[pos]) {
+        why = "PRR " + prr.name() + " no longer hosts " +
+              rec.request.modules[pos];
+      }
+    }
+    int live_channels = 0;
+    for (core::ChannelId& ch : rec.channels) {
+      if (!why.empty()) break;
+      const auto it = renamed.find(ch);
+      if (it != renamed.end()) ch = it->second;
+      if (!r.channels().active(ch)) {
+        why = "channel " + std::to_string(ch) + " is not routed";
+        break;
+      }
+      ++live_channels;
+    }
+    if (!why.empty()) {
+      // The fabric contradicts the journal: downgrade, never reset the
+      // fabric side — whatever stream still flows there keeps flowing.
+      rec.state = AppState::kStopped;
+      rec.reject_reason = "warm-restart mismatch: " + why;
+      ++out.mismatches;
+      out.notes.push_back("downgraded app " + std::to_string(rec.id) + ": " +
+                          why);
+      continue;
+    }
+    for (std::size_t pos = 0; pos < rec.prrs.size(); ++pos) {
+      const int p = rec.prrs[pos];
+      // Journaled slot metadata for this PRR, keyed by the owning app.
+      const PrrSlot& slot = journaled.slot(p);
+      if (!slot.free && slot.app_id == rec.id) {
+        map_.occupy(p, slot.app_id, slot.chain_pos, slot.module_id,
+                    slot.module_slices, slot.migratable);
+      } else {
+        map_.occupy(p, rec.id, static_cast<int>(pos), rec.request.modules[pos],
+                    0, false);
+      }
+    }
+    source_busy_[static_cast<std::size_t>(rec.source.iom)]
+                [static_cast<std::size_t>(rec.source.channel)] = true;
+    sink_busy_[static_cast<std::size_t>(rec.sink.iom)]
+              [static_cast<std::size_t>(rec.sink.channel)] = true;
+    ++out.adopted_apps;
+    out.adopted_channels += live_channels;
+    out.notes.push_back("adopted app " + std::to_string(rec.id) + " (" +
+                        rec.request.name + ")");
+  }
+  return out;
 }
 
 const AppRecord& ApplicationScheduler::app(int app_id) const {
@@ -760,14 +872,9 @@ bool ApplicationScheduler::launch(AppRecord& app,
   app.base_words_emitted = src_iom.words_emitted(app.source.channel);
   app.base_words_received =
       r.iom(app.sink.iom).words_received(app.sink.channel);
-  const std::uint64_t limit = app.request.source_words;
-  src_iom.set_source_generator(
-      [n = std::uint64_t{0}, limit]() mutable -> std::optional<comm::Word> {
-        if (limit > 0 && n >= limit) return std::nullopt;
-        // Mask below the all-ones EOS word so data is never EOS.
-        return static_cast<comm::Word>((n++) & 0x7FFFFFFFu);
-      },
-      app.request.source_interval_cycles, app.source.channel);
+  src_iom.set_source_generator(counting_source(0, app.request.source_words),
+                               app.request.source_interval_cycles,
+                               app.source.channel);
   return true;
 }
 

@@ -20,10 +20,6 @@
 #include "sim/component.hpp"
 #include "sim/time.hpp"
 
-namespace vapres::snap {
-class SystemSnapshot;
-}
-
 namespace vapres::sim {
 
 /// Edge-delivery accounting, per domain and aggregated by the Simulator.
@@ -102,13 +98,21 @@ class ClockDomain {
 
   const KernelStats& kernel_stats() const { return stats_; }
 
+  /// Snapshot fields (snap/format.hpp). Kernel statistics are left out:
+  /// a restore wakes every component, so edge accounting diverges while
+  /// architectural state does not.
+  template <class Ar>
+  void visit(Ar& ar) {
+    ar.check(name_, "restore: clock-domain order mismatch");
+    ar(period_ps_, enabled_, cycle_count_, anchor_ps_);
+    if constexpr (Ar::kReading) {
+      VAPRES_REQUIRE(period_ps_ > 0, "restore: clock period must be positive");
+    }
+  }
+
  private:
   friend class Clocked;
   friend class Simulator;
-  // Checkpoint/restore overlays cycle_count_/anchor_ps_/stats_ directly
-  // (snap/system_snapshot.cpp); components are woken afterwards so the
-  // first post-restore tick re-evaluates every activity flag.
-  friend class ::vapres::snap::SystemSnapshot;
 
   /// Absolute time of the next rising edge, given current time `now`.
   Picoseconds next_edge(Picoseconds now) const;

@@ -23,10 +23,6 @@
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
-namespace vapres::snap {
-class SystemSnapshot;
-}
-
 namespace vapres::sim {
 
 /// Named fault sites, one per hook wired into the model.
@@ -97,18 +93,28 @@ class FaultInjector {
   /// One line per nonzero counter; stable ordering (replay comparisons).
   std::string report() const;
 
- private:
-  // Checkpoint/restore overlays the RNG stream, per-site plans, and the
-  // recovery scoreboard so a mid-storm snapshot replays bit-identically
-  // (snap/system_snapshot.cpp).
-  friend class ::vapres::snap::SystemSnapshot;
+  /// Snapshot fields (snap/format.hpp): the RNG stream, per-site plans
+  /// and the recovery scoreboard, so a mid-storm snapshot replays
+  /// bit-identically.
+  template <class Ar>
+  void visit(Ar& ar) {
+    std::uint64_t rng = rng_.state();
+    ar(enabled_, rng, sites_, recoveries_);
+    if constexpr (Ar::kReading) rng_.set_state(rng);
+  }
 
+ private:
   struct SitePlan {
     double probability = 0.0;
     std::uint64_t armed_at = 0;
     std::uint64_t armed_count = 0;  // 0 = no window
     std::uint64_t opportunities = 0;
     std::uint64_t injected = 0;
+
+    template <class Ar>
+    void visit(Ar& ar) {
+      ar(probability, armed_at, armed_count, opportunities, injected);
+    }
   };
 
   FaultInjector() = default;

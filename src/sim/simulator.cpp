@@ -24,6 +24,14 @@ void Simulator::set_activity_driven(bool on) {
   for (auto& d : domains_) d->activity_driven_ = on;
 }
 
+void Simulator::wake_all() {
+  for (const auto& d : domains_) {
+    for (Clocked* c : d->components_) {
+      if (c != nullptr) c->wake();
+    }
+  }
+}
+
 KernelStats Simulator::kernel_stats() const {
   KernelStats total;
   for (const auto& d : domains_) total += d->stats_;

@@ -1,23 +1,12 @@
 #include "snap/format.hpp"
 
 #include <bit>
-#include <cstring>
 
 #include "sim/check.hpp"
 
 namespace vapres::snap {
 
 namespace {
-
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void append_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
-}
 
 std::uint32_t read_u32_at(const std::string& b, std::size_t at) {
   std::uint32_t v = 0;
@@ -39,20 +28,10 @@ std::uint64_t read_u64_at(const std::string& b, std::size_t at) {
 
 }  // namespace
 
-std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t seed) {
-  std::uint64_t h = seed;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 SnapshotWriter::SnapshotWriter(std::uint64_t epoch) : epoch_(epoch) {
-  append_u32(blob_, kMagic);
-  append_u32(blob_, kVersion);
-  append_u64(blob_, epoch_);
+  put_u32(blob_, kMagic);
+  put_u32(blob_, kVersion);
+  put_u64(blob_, epoch_);
 }
 
 void SnapshotWriter::begin_section(const std::string& name) {
@@ -67,37 +46,19 @@ void SnapshotWriter::begin_section(const std::string& name) {
 
 void SnapshotWriter::end_section() {
   VAPRES_REQUIRE(in_section_, "end_section without begin_section");
-  append_u32(blob_, static_cast<std::uint32_t>(section_name_.size()));
+  put_u32(blob_, static_cast<std::uint32_t>(section_name_.size()));
   blob_.append(section_name_);
-  append_u64(blob_, payload_.size());
-  append_u64(blob_, fnv1a(payload_.data(), payload_.size()));
-  blob_.append(reinterpret_cast<const char*>(payload_.data()),
-               payload_.size());
+  put_u64(blob_, payload_.size());
+  put_u64(blob_, fnv1a(payload_.data(), payload_.size()));
+  blob_.append(payload_);
   in_section_ = false;
-}
-
-void SnapshotWriter::u8(std::uint8_t v) {
-  VAPRES_REQUIRE(in_section_, "snapshot write outside a section");
-  payload_.push_back(v);
-}
-
-void SnapshotWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void SnapshotWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) u8(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void SnapshotWriter::i64(std::int64_t v) {
-  u64(static_cast<std::uint64_t>(v));
 }
 
 void SnapshotWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void SnapshotWriter::str(const std::string& s) {
   u32(static_cast<std::uint32_t>(s.size()));
-  for (const char c : s) u8(static_cast<std::uint8_t>(c));
+  payload_.append(s);
 }
 
 std::string SnapshotWriter::finish() {
@@ -172,14 +133,26 @@ const SnapshotReader::Section& SnapshotReader::find(
 
 void SnapshotReader::open_section(const std::string& name) const {
   const Section& s = find(name);
+  open_name_ = s.name;
   cursor_ = s.offset;
   cursor_end_ = s.offset + s.size;
 }
 
-std::size_t SnapshotReader::remaining() const { return cursor_end_ - cursor_; }
+void SnapshotReader::close_section() const {
+  VAPRES_REQUIRE(remaining() == 0,
+                 "snapshot section '" + open_name_ + "' has " +
+                     std::to_string(remaining()) + " unread bytes");
+}
+
+std::uint32_t SnapshotReader::element_count() const {
+  const std::uint32_t n = u32();
+  VAPRES_REQUIRE(n <= remaining(),
+                 "snapshot element count exceeds section payload");
+  return n;
+}
 
 void SnapshotReader::need(std::size_t bytes) const {
-  VAPRES_REQUIRE(cursor_ + bytes <= cursor_end_,
+  VAPRES_REQUIRE(bytes <= cursor_end_ - cursor_,
                  "snapshot section read past payload end");
 }
 
@@ -189,19 +162,17 @@ std::uint8_t SnapshotReader::u8() const {
 }
 
 std::uint32_t SnapshotReader::u32() const {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
+  need(4);
+  const std::uint32_t v = read_u32_at(blob_, cursor_);
+  cursor_ += 4;
   return v;
 }
 
 std::uint64_t SnapshotReader::u64() const {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(u8()) << (8 * i);
+  need(8);
+  const std::uint64_t v = read_u64_at(blob_, cursor_);
+  cursor_ += 8;
   return v;
-}
-
-std::int64_t SnapshotReader::i64() const {
-  return static_cast<std::int64_t>(u64());
 }
 
 double SnapshotReader::f64() const { return std::bit_cast<double>(u64()); }
