@@ -110,6 +110,34 @@ print(f"trace OK: {len(events)} events, all 9 switch steps present")
 EOF
 
 echo
+echo "=== tier-1: file checkpoint/restore smoke (multi_app_server) ==="
+# The only tier-1 run of the file-based restore path: checkpoint the
+# fixed-seed server to disk, restore it twice. Both restores must exit
+# zero and print identical reports, resume as many running apps as the
+# checkpoint recorded, and discard no words (docs/SNAPSHOT.md).
+CKPT="$BUILD/ckpt.vsnp"
+CKPT_LOG=$("$BUILD/examples/multi_app_server" --checkpoint="$CKPT")
+RESTORE_A=$("$BUILD/examples/multi_app_server" --restore="$CKPT")
+RESTORE_B=$("$BUILD/examples/multi_app_server" --restore="$CKPT")
+if [ "$RESTORE_A" != "$RESTORE_B" ]; then
+  echo "restore smoke: two restores of $CKPT printed different reports" >&2
+  diff <(echo "$RESTORE_A") <(echo "$RESTORE_B") >&2 || true
+  exit 1
+fi
+saved=$(echo "$CKPT_LOG" | sed -n 's/^wrote snapshot (.*, \([0-9]*\) running apps).*/\1/p')
+resumed=$(echo "$RESTORE_A" | sed -n 's/^=== multi-app server: restored from .*, \([0-9]*\) running apps) ===$/\1/p')
+if [ -z "$saved" ] || [ "$saved" != "$resumed" ]; then
+  echo "restore smoke: checkpoint recorded '$saved' running apps, restore resumed '$resumed'" >&2
+  exit 1
+fi
+if ! echo "$RESTORE_A" | grep -q '^words discarded fabric-wide: 0 '; then
+  echo "restore smoke: the restored run discarded words" >&2
+  echo "$RESTORE_A" | grep 'words discarded' >&2 || true
+  exit 1
+fi
+echo "restore smoke OK: $resumed running apps resumed, reports identical, 0 words discarded"
+
+echo
 echo "=== tier-1: sched/soak/fleet/snap/health/simkernel/comm tests under address,undefined ==="
 # The soak smoke (soak_test, ~10^3 lifetimes, including the
 # agent-crash-churn fleet run), the fleet router tests (fleet_test:
