@@ -72,9 +72,13 @@ void Microblaze::arm_busy_wake() {
   if (sim_ == nullptr) return;  // no skip; the core just stays awake
   if (busy_wake_.has_value() && busy_wake_cycle_ == busy_last_cycle_) return;
   disarm_busy_wake();
-  const sim::Cycles delta = busy_last_cycle_ - domain_.cycle_count();
+  schedule_busy_wake(
+      domain_.cycles_to_ps(busy_last_cycle_ - domain_.cycle_count()));
+}
+
+void Microblaze::schedule_busy_wake(sim::Picoseconds delay) {
   busy_wake_cycle_ = busy_last_cycle_;
-  busy_wake_ = sim_->schedule_after_cycles(domain_, delta, [this] {
+  busy_wake_ = sim_->schedule_after(delay, [this] {
     busy_wake_.reset();
     wake();
   });

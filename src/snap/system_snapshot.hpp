@@ -40,14 +40,12 @@
 namespace vapres::snap {
 
 /// What warm_restart() found when reconciling the journal against the
-/// still-live fabric.
-struct ReconcileReport {
-  int adopted_apps = 0;      ///< running apps re-adopted intact
-  int adopted_channels = 0;  ///< streaming channels verified live
-  int mismatches = 0;        ///< journal entries the fabric contradicts
+/// still-live fabric: the scheduler's reconciliation (adopted apps and
+/// channels, mismatches, a human-readable log in `notes`) plus the fate
+/// of a journaled switch.
+struct ReconcileReport : sched::Reconciliation {
   bool switch_resumed = false;      ///< in-flight switch carried forward
   bool switch_rolled_back = false;  ///< in-flight switch abandoned safely
-  std::vector<std::string> notes;   ///< human-readable reconcile log
 };
 
 struct WarmRestart {
