@@ -160,7 +160,11 @@ cmake -B "$SAN_BUILD" -S . -DVAPRES_SANITIZE=address,undefined
 cmake --build "$SAN_BUILD" -j --target scheduler_test defrag_test soak_test \
   fleet_test statedb_test snap_test health_test simkernel_test \
   switch_box_test switch_fabric_test
-ctest --test-dir "$SAN_BUILD" -L 'sched|soak|fleet|snap|health|simkernel|comm' \
+# The build makes every UBSan finding fatal (-fno-sanitize-recover) and
+# turns on libstdc++ assertions; halt_on_error covers any check a runtime
+# would otherwise report and continue past.
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ctest --test-dir "$SAN_BUILD" -L 'sched|soak|fleet|snap|health|simkernel|comm' \
   --output-on-failure
 
 echo

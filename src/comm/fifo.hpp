@@ -69,11 +69,18 @@ class Fifo {
   std::uint64_t fault_duplicated() const { return fault_duplicated_; }
 
   /// Snapshot fields (snap/format.hpp). A restore overlays contents and
-  /// counters without waking targets or drawing fault opportunities.
+  /// counters without waking targets or drawing fault opportunities, and
+  /// rejects contents or a high watermark above this FIFO's capacity.
   template <class Ar>
   void visit(Ar& ar) {
     ar(words_, pushed_, popped_, fault_dropped_, fault_duplicated_,
        high_watermark_);
+    if constexpr (Ar::kReading) {
+      VAPRES_REQUIRE(size() <= capacity_ && high_watermark_ >= 0 &&
+                         high_watermark_ <= capacity_,
+                     "restore: FIFO " + name_ + " holds more than its " +
+                         std::to_string(capacity_) + "-word capacity");
+    }
   }
 
  private:

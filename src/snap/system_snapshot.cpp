@@ -47,19 +47,20 @@ void visit_meta(Ar& ar, const core::SystemParams& p, Build&& built) {
   ar.check(sys.prr_floorplan(), "restore: PRR floorplan mismatch");
 }
 
-/// One bitstream store (CF files or SDRAM arrays), in name order. A
-/// restore replays it into the fresh store through its public API.
+/// One bitstream store (CF files or SDRAM arrays), in name order, with the
+/// wire form of a vector of (name, bitstream) pairs. Save writes each
+/// stored bitstream in place; a restore replays the pairs into the fresh
+/// store through its public API.
 template <class Ar, class Store>
 void visit_store(Ar& ar, Store& store) {
-  std::vector<std::pair<std::string, bitstream::PartialBitstream>> files;
-  if constexpr (!Ar::kReading) {
-    for (const std::string& name : store.list()) {
-      files.emplace_back(name, store.read(name));
-    }
-  }
-  ar(files);
   if constexpr (Ar::kReading) {
+    std::vector<std::pair<std::string, bitstream::PartialBitstream>> files;
+    ar(files);
     for (auto& [name, bs] : files) store.store(name, std::move(bs));
+  } else {
+    const std::vector<std::string> names = store.list();
+    ar.u32(static_cast<std::uint32_t>(names.size()));
+    for (const std::string& name : names) ar(name, store.read(name));
   }
 }
 

@@ -4,11 +4,14 @@
 // step, and corrupt-blob rejection (ctest label: snap).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "comm/fifo.hpp"
 #include "core/stats.hpp"
 #include "core/switching.hpp"
 #include "core/system.hpp"
@@ -139,6 +142,117 @@ TEST(Snap, RejectsCorruptAndTruncatedBlobs) {
   std::string magic = blob;
   magic[0] ^= 0xFF;
   EXPECT_THROW(SnapshotReader{magic}, ModelError);
+}
+
+// section_digests runs kDigestLanes FNV-1a chains in lockstep; every value
+// must still be the plain FNV-1a of its own payload.
+TEST(Snap, SectionDigestsEqualPerSectionFnv) {
+  const auto bytes = [](std::size_t n, unsigned seed) {
+    std::string s(n, '\0');
+    for (std::size_t i = 0; i < n; ++i) {
+      s[i] = static_cast<char>(seed * 131u + i * 7u + (i >> 8));
+    }
+    return s;
+  };
+  const auto expect_fnv = [](const std::vector<std::string>& payloads) {
+    const std::vector<std::string_view> views(payloads.begin(),
+                                              payloads.end());
+    const std::vector<std::uint64_t> got = section_digests(views);
+    ASSERT_EQ(got.size(), payloads.size());
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      EXPECT_EQ(got[i], fnv1a(payloads[i].data(), payloads[i].size()))
+          << "payload " << i << " of " << payloads.size();
+    }
+  };
+  expect_fnv({});
+  expect_fnv({""});
+  expect_fnv({bytes(97, 1)});
+  expect_fnv({"", bytes(3, 2), "", bytes(5, 3), ""});
+  // More sections than lanes, none of a size that is a multiple of the
+  // lane count.
+  std::vector<std::string> many;
+  for (unsigned k = 0; k < 3 * kDigestLanes + 1; ++k) {
+    many.push_back(bytes(4 * k + 1 + k % 3, k));
+  }
+  expect_fnv(many);
+  // One section far longer than the rest, placed first, in the middle and
+  // last.
+  const std::string big = bytes(100003, 9);
+  expect_fnv({big, bytes(7, 1), bytes(1, 2), bytes(13, 3), bytes(2, 4)});
+  expect_fnv({bytes(7, 1), bytes(1, 2), big, bytes(13, 3), "", bytes(2, 4)});
+  expect_fnv({bytes(7, 1), bytes(1, 2), bytes(13, 3), bytes(2, 4), big});
+}
+
+// Vectors and arrays of uint32_t/uint64_t travel as one memcpy, with the
+// same bytes as their element-by-element form, and decode back exactly.
+TEST(Snap, BulkArraysRoundTrip) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1},
+                              std::size_t{1000}}) {
+    SCOPED_TRACE(n);
+    std::vector<std::uint32_t> v32(n);
+    std::vector<std::uint64_t> v64(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      v32[i] = static_cast<std::uint32_t>(0x9e3779b9u * (i + 1));
+      v64[i] = 0x9e3779b97f4a7c15ULL * (i + 1);
+    }
+    std::array<std::uint32_t, 3> a32{1, 0xfffffffeu, 0x80000000u};
+    std::array<std::uint64_t, 65> a64{};
+    for (std::size_t i = 0; i < a64.size(); ++i) a64[i] = ~std::uint64_t{i};
+
+    SnapshotWriter w(1);
+    w.section("bulk", [&] { w(v32, v64, a32, a64); });
+    const std::string blob = w.finish();
+
+    SnapshotWriter e(1);
+    e.section("bulk", [&] {
+      e.u32(static_cast<std::uint32_t>(n));
+      for (const std::uint32_t x : v32) e.u32(x);
+      e.u32(static_cast<std::uint32_t>(n));
+      for (const std::uint64_t x : v64) e.u64(x);
+      for (const std::uint32_t x : a32) e.u32(x);
+      for (const std::uint64_t x : a64) e.u64(x);
+    });
+    EXPECT_EQ(blob, e.finish());
+
+    SnapshotReader r(blob);
+    std::vector<std::uint32_t> b32{7, 7};
+    std::vector<std::uint64_t> b64{7};
+    std::array<std::uint32_t, 3> c32{};
+    std::array<std::uint64_t, 65> c64{};
+    r.section("bulk", [&] { r(b32, b64, c32, c64); });
+    EXPECT_EQ(b32, v32);
+    EXPECT_EQ(b64, v64);
+    EXPECT_EQ(c32, a32);
+    EXPECT_EQ(c64, a64);
+  }
+}
+
+// A FIFO section holding more words than the restoring FIFO's capacity,
+// or a high watermark above it, is rejected rather than overlaid into a
+// FIFO with negative room.
+TEST(Snap, FifoRestoreRejectsContentsAboveCapacity) {
+  const auto section_of = [](comm::Fifo& f) {
+    SnapshotWriter w(1);
+    w.section("fifo", [&] { w(f); });
+    return SnapshotReader(w.finish());
+  };
+  comm::Fifo full("full", 8);
+  for (Word x = 0; x < 8; ++x) full.push(x);
+  SnapshotReader r = section_of(full);
+  comm::Fifo small("small", 4);
+  EXPECT_THROW(r.section("fifo", [&] { r(small); }), ModelError);
+  comm::Fifo same("same", 8);
+  r.section("fifo", [&] { r(same); });
+  EXPECT_EQ(same.size(), 8);
+  EXPECT_EQ(same.remaining(), 0);
+
+  // Two words held, but six at the peak.
+  comm::Fifo drained("drained", 8);
+  for (Word x = 0; x < 6; ++x) drained.push(x);
+  for (int i = 0; i < 4; ++i) drained.pop();
+  SnapshotReader peak = section_of(drained);
+  comm::Fifo small2("small2", 4);
+  EXPECT_THROW(peak.section("fifo", [&] { peak(small2); }), ModelError);
 }
 
 TEST(Snap, ColdRestoreVerifiesParams) {
@@ -739,6 +853,40 @@ std::string reseal(const std::string& blob, const SectionSpan& s,
   store_le(out, len_at, payload.size(), 8);
   store_le(out, len_at + 8, fnv1a(payload.data(), payload.size()), 8);
   return out;
+}
+
+// A bulk count that claims more elements than the section holds bytes
+// for, re-sealed so the container accepts it, ends in ModelError before
+// anything is allocated. Runs under ASan/UBSan with the rest of the snap
+// label.
+TEST(Snap, BulkCountBeyondSectionIsRejected) {
+  std::vector<std::uint64_t> v64{1, 2};
+  std::vector<std::uint32_t> v32{3, 4, 5};
+  SnapshotWriter w(1);
+  w.section("u64", [&] { w(v64); });
+  w.section("u32", [&] { w(v32); });
+  const std::string blob = w.finish();
+  const std::vector<SectionSpan> spans = sections_of(blob);
+  ASSERT_EQ(spans.size(), 2u);
+  for (const std::uint32_t claim : {4u, 0x10000000u, 0xffffffffu}) {
+    SCOPED_TRACE(claim);
+    for (const SectionSpan& s : spans) {
+      std::string payload = blob.substr(s.payload, s.size);
+      store_le(payload, 0, claim, 4);
+      SnapshotReader r(reseal(blob, s, payload));
+      std::vector<std::uint64_t> got64;
+      std::vector<std::uint32_t> got32;
+      if (s.name == "u64") {
+        EXPECT_THROW(r.section(s.name, [&] { r(got64); }), ModelError);
+      } else {
+        EXPECT_THROW(r.section(s.name, [&] { r(got32); }), ModelError);
+      }
+    }
+  }
+  // A fixed-size array needs all of its bytes too.
+  SnapshotReader r(blob);
+  std::array<std::uint64_t, 3> arr{};
+  EXPECT_THROW(r.section("u64", [&] { r(arr); }), ModelError);
 }
 
 /// Every byte of a section's first 512 (counts, cursors, headers), then
