@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -322,6 +323,107 @@ TEST(RunFor, IdleSystemStillAdvancesToDeadline) {
   sim.run_for(123456);
   EXPECT_EQ(sim.now(), 123456u);
   EXPECT_EQ(d.cycle_count(), 12u);  // edges at 10000..120000
+}
+
+// ------------------------------------------------------- sparse domain
+//
+// Sixteen components in one domain, only one of them awake for most of
+// the run: the shape where a tick visits mostly sleeping slots. The
+// awake driver wakes, detaches and attaches its neighbours from inside
+// its own eval and commit, and the transcript pins which component got
+// which half of the edge on every cycle.
+
+/// Appends " e<id>" / " c<id>" to a shared transcript on every edge.
+class Recorder final : public Clocked {
+ public:
+  Recorder(std::string& log, int id) : log_(log), id_(id) {}
+  bool idle = true;  ///< quiescent() report
+  std::function<void()> on_eval;
+  std::function<void()> on_commit;
+  void eval() override {
+    note('e');
+    if (on_eval) on_eval();
+  }
+  void commit() override {
+    note('c');
+    if (on_commit) on_commit();
+  }
+  bool quiescent() const override { return idle; }
+
+ private:
+  void note(char phase) {
+    log_ += ' ';
+    log_ += phase;
+    log_ += std::to_string(id_);
+  }
+  std::string& log_;
+  int id_;
+};
+
+TEST(SparseDomain, MidTickWakeDetachAttachKeepDeliveryOrder) {
+  Simulator sim;
+  auto& d = sim.create_domain("clk", 100.0);
+  std::string log;
+  std::vector<std::unique_ptr<Recorder>> parts;
+  for (int i = 0; i < 16; ++i) {
+    parts.push_back(std::make_unique<Recorder>(log, i));
+    d.attach(parts.back().get());
+  }
+  Recorder late(log, 16);
+  Recorder& driver = *parts[4];
+  driver.idle = false;
+  // Scripted by the cycle being ticked (cycle_count() before the edge).
+  driver.on_commit = [&] {
+    switch (d.cycle_count()) {
+      case 9:  // wake an earlier and a later slot from the commit pass
+        parts[2]->wake();
+        parts[9]->wake();
+        break;
+      case 11:  // detach an awake later slot and a sleeping earlier one
+        d.detach(parts[9].get());
+        d.detach(parts[1].get());
+        break;
+      case 12:  // attach: first edge on the next tick
+        d.attach(&late);
+        break;
+      default:
+        break;
+    }
+  };
+  driver.on_eval = [&] {
+    if (d.cycle_count() == 14) {  // wake from the eval pass
+      parts[0]->wake();
+      parts[15]->wake();
+    }
+  };
+  // Every component starts awake; the poll after the eighth edge puts
+  // all but the driver to sleep.
+  sim.run_cycles(d, 8);
+  ASSERT_EQ(d.active_components(), 1);
+  log.clear();
+  for (int cycle = 8; cycle < 26; ++cycle) {
+    sim.run_cycles(d, 1);
+    log += " |";
+  }
+  // Cycle 9: c9 commits without its eval and c2 is already passed.
+  // Cycle 11: the detached c9 misses its commit. Cycle 13: the component
+  // attached on cycle 12 gets its first edge. Cycle 14: c0 commits
+  // without its eval, e15 and c15 both land. The poll after cycle 15
+  // puts every idle component back to sleep.
+  EXPECT_EQ(log,
+            " e4 c4 | e4 c4 c9 | e2 e4 e9 c2 c4 c9 | e2 e4 e9 c2 c4 |"
+            " e2 e4 c2 c4 | e2 e4 e16 c2 c4 c16 |"
+            " e2 e4 e15 e16 c0 c2 c4 c15 c16 |"
+            " e0 e2 e4 e15 e16 c0 c2 c4 c15 c16 |"
+            " e4 c4 | e4 c4 | e4 c4 | e4 c4 | e4 c4 | e4 c4 | e4 c4 |"
+            " e4 c4 | e4 c4 | e4 c4 |");
+  const sim::KernelStats& s = d.kernel_stats();
+  EXPECT_EQ(s.edges_delivered, 161u);
+  EXPECT_EQ(s.edges_skipped, 240u);
+  EXPECT_EQ(s.component_wakes, 4u);
+  EXPECT_EQ(s.domain_sleeps, 0u);
+  EXPECT_EQ(s.cycles_active, 26u);
+  EXPECT_EQ(d.active_components(), 1);
 }
 
 // ------------------------------------------------- lockstep scenarios
