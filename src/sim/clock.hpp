@@ -140,12 +140,8 @@ class ClockDomain {
   /// Post-tick sweep: deactivates components that report quiescent().
   void poll_quiescence();
 
-  void note_wake(Clocked* component);
+  void note_wake();
   void compact();
-
-  /// Rebuilds awake_idx_ (slot indices of awake components, ascending) so
-  /// a tick over a mostly-asleep domain costs O(awake), not O(attached).
-  void rebuild_awake_cache();
 
   /// Re-anchors the edge schedule to the current simulation time (set by
   /// the owning Simulator; valid for the domain's whole lifetime).
@@ -166,13 +162,6 @@ class ClockDomain {
   int live_count_ = 0;  // non-null slots in components_
   bool ticking_ = false;
   bool pending_compaction_ = false;
-  // Slot indices of awake components, ascending — the tick fast path.
-  // Invalidated by any activity-set change; a wake landing mid-tick
-  // degrades the in-flight passes to full visit-time-flag scans so
-  // delivery order stays identical to the uncached kernel.
-  std::vector<std::size_t> awake_idx_;
-  bool cache_valid_ = false;
-  bool woke_in_tick_ = false;
   KernelStats stats_;
 };
 

@@ -16,7 +16,6 @@
 // default (never quiescent) keeps unaware components on every edge.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 namespace vapres::sim {
@@ -61,9 +60,6 @@ class Clocked {
 
   ClockDomain* domain_ = nullptr;
   bool active_ = true;
-  // Index of this component's slot in its domain's component list, kept
-  // current whenever the domain's awake-index cache is valid.
-  std::size_t slot_ = 0;
 };
 
 }  // namespace vapres::sim

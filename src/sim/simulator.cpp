@@ -91,13 +91,6 @@ void Simulator::deliver_at(Picoseconds t) {
   if (!events_.empty()) events_.run_due(now_);
 }
 
-bool Simulator::step() {
-  const Picoseconds next = next_activity();
-  if (next == kNever) return false;
-  deliver_at(next);
-  return true;
-}
-
 bool Simulator::advance_to(Picoseconds limit) {
   const Picoseconds next = next_activity();
   if (next > limit) {

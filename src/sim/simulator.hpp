@@ -68,11 +68,6 @@ class Simulator {
   /// Edge-delivery counters aggregated over all domains.
   KernelStats kernel_stats() const;
 
-  /// Advances to the next edge/event and processes it. Returns false if
-  /// nothing remains to simulate (no event pending and no enabled domain
-  /// with an awake component).
-  bool step();
-
   /// Runs for exactly `duration` picoseconds of simulated time. Activity
   /// landing on the final instant is still delivered; `now()` ends at the
   /// deadline even when the system went idle earlier.

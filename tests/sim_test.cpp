@@ -175,11 +175,6 @@ TEST(ClockDomain, CyclesToPs) {
 
 // ----------------------------------------------------------------- Simulator
 
-TEST(Simulator, StepReturnsFalseWhenNothingToDo) {
-  Simulator sim;
-  EXPECT_FALSE(sim.step());
-}
-
 TEST(Simulator, EventsBeforeCoincidentEdges) {
   Simulator sim;
   auto& d = sim.create_domain("clk", 100.0);  // edge at 10000 ps
