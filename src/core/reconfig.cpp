@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "sim/check.hpp"
 #include "sim/fault.hpp"
-#include "sim/trace.hpp"
 
 namespace vapres::core {
 
@@ -139,11 +138,6 @@ void ReconfigManager::complete_attempt() {
         obs::Subsystem::kReconfig, obs::ev::kRetry,
         obs::EventBus::instance().track("icap"), sim_.now(),
         static_cast<std::uint64_t>(fl.attempts_this_source), backoff);
-    VAPRES_TRACE_INFO(sim_.now(), "reconfig",
-                      "transfer "
-                          << (result.timed_out ? "timed out" : "corrupt")
-                          << "; retry " << fl.attempts_this_source
-                          << " after " << backoff << "-cycle backoff");
     mb_.busy_for(backoff, [this] { launch_attempt(); });
     return;
   }
@@ -164,11 +158,6 @@ void ReconfigManager::complete_attempt() {
     obs::EventBus::instance().instant(
         obs::Subsystem::kReconfig, obs::ev::kSourceFallback,
         obs::EventBus::instance().track("icap"), sim_.now());
-    VAPRES_TRACE_INFO(sim_.now(), "reconfig",
-                      "SDRAM source exhausted "
-                          << policy_.max_attempts
-                          << " attempts; falling back to CF file "
-                          << fl.cf_fallback);
     const sim::Cycles backoff = policy_.backoff_base_cycles;
     mb_.busy_for(backoff, [this] { launch_attempt(); });
     return;
@@ -178,9 +167,6 @@ void ReconfigManager::complete_attempt() {
       obs::Subsystem::kReconfig, obs::ev::kPermanentFailure,
       obs::EventBus::instance().track("icap"), sim_.now(),
       static_cast<std::uint64_t>(fl.outcome.attempts));
-  VAPRES_TRACE_INFO(sim_.now(), "reconfig",
-                    "reconfiguration failed permanently after "
-                        << fl.outcome.attempts << " attempts");
   finish(/*success=*/false);
 }
 

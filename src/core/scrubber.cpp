@@ -1,7 +1,6 @@
 #include "core/scrubber.hpp"
 
 #include "sim/fault.hpp"
-#include "sim/trace.hpp"
 
 namespace vapres::core {
 
@@ -36,9 +35,6 @@ bool ScrubberTask::step(proc::Microblaze& mb) {
         ++frame_repairs_;
         faults.note_recovery(sim::RecoveryEvent::kScrubRepair);
         charged += kRewriteCyclesPerFrame;
-        VAPRES_TRACE_INFO(sys_.sim().now(), "scrubber",
-                          "frame upset in " << rsb.prr(p).name()
-                                            << "; frame rewritten");
       }
     }
     // Mux scan: a stuck switch-box output is a flipped MUX_sel bit in
@@ -52,9 +48,6 @@ bool ScrubberTask::step(proc::Microblaze& mb) {
         ++mux_repairs_;
         faults.note_recovery(sim::RecoveryEvent::kScrubRepair);
         charged += kRewriteCyclesPerFrame;
-        VAPRES_TRACE_INFO(sys_.sim().now(), "scrubber",
-                          box.name() << " output " << port
-                                     << " stuck; mux frame rewritten");
       }
     }
   }

@@ -4,7 +4,6 @@
 #include "obs/metrics.hpp"
 #include "sim/check.hpp"
 #include "sim/fault.hpp"
-#include "sim/trace.hpp"
 
 namespace vapres::core {
 
@@ -104,9 +103,6 @@ void ModuleSwitcher::begin() {
       r.prr(req_.src_prr).name() + ".switch");
   enter_step(obs::ev::kStep1Reconfigure);
   sys_.mb().add_task(this);
-  VAPRES_TRACE_INFO(sys_.sim().now(), "switcher",
-                    "step 3: reconfiguring spare PRR with "
-                        << req_.new_module_id);
 }
 
 void ModuleSwitcher::reroute(ChannelId old_channel,
@@ -152,15 +148,10 @@ bool ModuleSwitcher::step(proc::Microblaze& mb) {
             obs::Subsystem::kSwitch, obs::ev::kSwitchRollback, obs_track_,
             sys_.sim().now(), static_cast<std::uint64_t>(req_.dst_prr));
         obs::Registry::instance().counter("switch.rollbacks").add();
-        VAPRES_TRACE_INFO(sys_.sim().now(), "switcher",
-                          "step 3 FAILED: PR of spare PRR gave up; switch "
-                          "rolled back, source module keeps streaming");
         state_ = State::kAborted;
         return true;  // task finished; source path untouched
       }
       timeline_.reconfig_done = mb.cycle();
-      VAPRES_TRACE_INFO(sys_.sim().now(), "switcher",
-                        "step 3 done: PR complete, bringing up dst site");
       // Bring up the dst site with the module held in reset: slice macros
       // on, clock on, consumer writes accepted, PRR_reset asserted.
       const comm::DcrAddress dst = r.prr_socket_address(req_.dst_prr);
@@ -192,8 +183,6 @@ bool ModuleSwitcher::step(proc::Microblaze& mb) {
               r.prr_consumer(req_.dst_prr), new_upstream_, mb,
               /*enable_producer=*/true);
       timeline_.input_rerouted = mb.cycle();
-      VAPRES_TRACE_INFO(sys_.sim().now(), "switcher",
-                        "step 4: input re-routed to the new module");
       state_ = State::kSendFlush;
       enter_step(obs::ev::kStep4SendFlush);
       return false;
@@ -232,9 +221,6 @@ bool ModuleSwitcher::step(proc::Microblaze& mb) {
         if (saw_header_ && expected_words_ >= 0 &&
             static_cast<int>(collected_state_.size()) == expected_words_) {
           timeline_.state_collected = mb.cycle();
-          VAPRES_TRACE_INFO(sys_.sim().now(), "switcher",
-                            "step 6: " << collected_state_.size()
-                                       << " state words collected");
           state_ = State::kInitNewModule;
           enter_step(obs::ev::kStep6InitNewModule);
           return false;
@@ -258,8 +244,6 @@ bool ModuleSwitcher::step(proc::Microblaze& mb) {
       const comm::DcrAddress dst = r.prr_socket_address(req_.dst_prr);
       mb.dcr_write(dst, mb.dcr_read(dst) & ~PrSocket::kPrrReset);
       timeline_.module_initialized = mb.cycle();
-      VAPRES_TRACE_INFO(sys_.sim().now(), "switcher",
-                        "step 7: new module initialized");
       state_ = State::kWaitIomEos;
       enter_step(obs::ev::kStep7WaitIomEos);
       return false;
@@ -308,8 +292,6 @@ bool ModuleSwitcher::step(proc::Microblaze& mb) {
       obs::Registry::instance()
           .histogram("switch.total.cycles")
           .record(timeline_.completed - timeline_.started);
-      VAPRES_TRACE_INFO(sys_.sim().now(), "switcher",
-                        "step 9: output re-routed; switch complete");
       state_ = State::kDone;
       return true;  // task finished; MicroBlaze descheduules it
     }

@@ -1,12 +1,12 @@
 // The structured event-tracing bus.
 //
-// Process-wide hub (mirroring sim::Trace, which it supersedes for
-// structured data) collecting typed obs::Event records into a bounded
-// power-of-two ring buffer. Disabled — the default — every emit call is
-// one mask load and branch; no allocation, no string formatting, no
-// ring traffic. Enabled, an emit is a couple of stores into the ring;
-// when the ring is full the *oldest* record is overwritten and the
-// dropped counter advances, so a long run keeps the most recent window.
+// The simulator's only trace channel: a process-wide hub collecting
+// typed obs::Event records into a bounded power-of-two ring buffer.
+// Disabled — the default — every emit call is one mask load and branch;
+// no allocation, no string formatting, no ring traffic. Enabled, an emit
+// is a couple of stores into the ring; when the ring is full the *oldest*
+// record is overwritten and the dropped counter advances, so a long run
+// keeps the most recent window.
 //
 // Tracks give events a home lane in the exporters: one track per clock
 // domain, PRR, or software task, registered by name on first use. Track

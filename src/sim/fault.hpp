@@ -1,6 +1,6 @@
 // Deterministic fault injection.
 //
-// A process-wide hub (mirroring sim::Trace) that components query at
+// A process-wide hub (like obs::EventBus) that components query at
 // named fault sites: the ICAP asks whether the in-flight bitstream was
 // corrupted or the transfer timed out, FIFOs ask whether a pushed word
 // is dropped or duplicated, switch boxes whether an output mux went

@@ -106,6 +106,7 @@ TEST_P(IcapFaultMatrix, RecoversAndCountersMatchInjectedCounts) {
   const IcapFaultCase c = GetParam();
   test::FaultRig rig(0xFA117u);
   rig.injector().arm(c.site, /*nth=*/0, c.armed);
+  test::EventCapture events(obs::Subsystem::kReconfig);
 
   // The PR heals itself: the caller sees nothing but a longer call.
   rig.sys->reconfigure_now(0, 1, "gain_x2");
@@ -115,6 +116,19 @@ TEST_P(IcapFaultMatrix, RecoversAndCountersMatchInjectedCounts) {
   EXPECT_EQ(reconfig.retries(), c.want_retries);
   EXPECT_EQ(reconfig.fallbacks(), c.want_fallbacks);
   EXPECT_EQ(reconfig.failures(), 0);
+
+  // The trace carries one instant per recovery step: each retry names
+  // its attempt on the current source and a backoff that doubles.
+  const auto retries = events.instants(obs::ev::kRetry);
+  ASSERT_EQ(retries.size(), static_cast<std::size_t>(c.want_retries));
+  const sim::Cycles base = core::RetryPolicy{}.backoff_base_cycles;
+  for (std::size_t i = 0; i < retries.size(); ++i) {
+    EXPECT_EQ(retries[i].arg0, i + 1);
+    EXPECT_EQ(retries[i].arg1, base << i);
+  }
+  EXPECT_EQ(events.instants(obs::ev::kSourceFallback).size(),
+            static_cast<std::size_t>(c.want_fallbacks));
+  EXPECT_TRUE(events.instants(obs::ev::kPermanentFailure).empty());
 
   // Scoreboard: injected counts match the armed plan, recoveries match
   // the policy's answer to them, nothing else moved.
@@ -167,6 +181,7 @@ TEST(FaultInjection, PermanentFailureIsCountedAndReportedToCaller) {
 
   // Drive the path directly so the outcome is observable (the
   // reconfigure_now convenience throws on permanent failure instead).
+  test::EventCapture events(obs::Subsystem::kReconfig);
   const std::string key = "gain_x2@" + rig.sys->rsb().prr(1).name();
   bool done = false;
   core::ReconfigOutcome outcome;
@@ -184,6 +199,13 @@ TEST(FaultInjection, PermanentFailureIsCountedAndReportedToCaller) {
   EXPECT_EQ(rig.sys->reconfig().retries(), 0);
   EXPECT_EQ(rig.sys->rsb().prr(1).loaded_module(), "");  // not applied
   EXPECT_EQ(core::collect_stats(*rig.sys).robustness.reconfig_failures, 1u);
+  // One permanent-failure instant carrying the attempt count, and no
+  // retry or fallback before it.
+  const auto failures = events.instants(obs::ev::kPermanentFailure);
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].arg0, 1u);
+  EXPECT_TRUE(events.instants(obs::ev::kRetry).empty());
+  EXPECT_TRUE(events.instants(obs::ev::kSourceFallback).empty());
 
   // And the convenience wrapper surfaces the permanent failure loudly.
   rig.injector().arm(FaultSite::kIcapBitstreamCorruption, /*nth=*/1);

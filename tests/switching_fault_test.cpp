@@ -47,7 +47,9 @@ TEST_P(SwitchRollbackProperty, FailedPrRollsBackWithStreamIntact) {
   rig.sys->run_system_cycles(200);  // warm the stream
   rig.iom().reset_gap_stats();
 
+  test::EventCapture events(obs::Subsystem::kSwitch);
   ModuleSwitcher sw(*rig.sys, rig.request("gain_x2"));
+  const sim::Picoseconds begun = rig.sys->sim().now();
   ASSERT_TRUE(rig.run_until_finished(sw));
   ASSERT_TRUE(sw.aborted());
   EXPECT_FALSE(sw.done());
@@ -68,6 +70,12 @@ TEST_P(SwitchRollbackProperty, FailedPrRollsBackWithStreamIntact) {
   EXPECT_EQ(rig.injector().recoveries(RecoveryEvent::kSwitchRollback), 1u);
   EXPECT_EQ(rig.sys->reconfig().failures(), 1);
   EXPECT_EQ(collect_stats(*rig.sys).robustness.switch_rollbacks, 1u);
+  // The trace records the rollback once, naming the spare PRR.
+  const auto rollbacks = events.instants(obs::ev::kSwitchRollback);
+  ASSERT_EQ(rollbacks.size(), 1u);
+  EXPECT_EQ(rollbacks[0].arg0, 1u);
+  EXPECT_GT(rollbacks[0].time_ps, begun);
+  EXPECT_LE(rollbacks[0].time_ps, rig.sys->sim().now());
 
   // The stream never noticed: let it run on, then check order and gaps.
   rig.sys->run_system_cycles(3000);

@@ -9,7 +9,6 @@
 #include "core/switching.hpp"
 #include "core/system.hpp"
 #include "fabric/frame.hpp"
-#include "sim/trace.hpp"
 
 namespace vapres::core {
 namespace {
@@ -223,35 +222,6 @@ TEST(Switching, CompatibleDifferentModulesSwapCleanly) {
   EXPECT_EQ(rig.sys->rsb().prr(1).loaded_module(), "decim4");
   ASSERT_EQ(sw.collected_state().size(), 1u);
   EXPECT_LT(sw.collected_state()[0], 2u);  // a valid decim2 phase
-}
-
-TEST(Switching, EmitsTraceRecordsForEveryMilestone) {
-  std::vector<sim::TraceRecord> records;
-  sim::Trace::instance().set_level(sim::TraceLevel::kInfo);
-  sim::Trace::instance().set_sink(
-      [&records](const sim::TraceRecord& r) { records.push_back(r); });
-
-  SwitchRig rig("passthrough", "offset_100");
-  rig.iom().set_source_generator(
-      [n = 0]() mutable -> std::optional<Word> {
-        return static_cast<Word>(n++);
-      },
-      4);
-  ModuleSwitcher sw(*rig.sys, rig.request("offset_100"));
-  ASSERT_TRUE(rig.run_switch(sw));
-
-  sim::Trace::instance().clear_sink();
-  sim::Trace::instance().set_level(sim::TraceLevel::kOff);
-
-  ASSERT_GE(records.size(), 6u);
-  EXPECT_EQ(records.front().tag, "switcher");
-  EXPECT_NE(records.front().message.find("step 3"), std::string::npos);
-  EXPECT_NE(records.back().message.find("switch complete"),
-            std::string::npos);
-  // Timestamps are monotone simulation times.
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    EXPECT_GE(records[i].time_ps, records[i - 1].time_ps);
-  }
 }
 
 TEST(Switching, RequestValidation) {

@@ -12,10 +12,33 @@
 #include "core/switching.hpp"
 #include "core/system.hpp"
 #include "hwmodule/hw_module.hpp"
+#include "obs/bus.hpp"
 #include "sim/fault.hpp"
 #include "sim/simulator.hpp"
 
 namespace vapres::test {
+
+/// Captures one subsystem's EventBus records for the guard's lifetime.
+struct EventCapture {
+  explicit EventCapture(obs::Subsystem s) : subsystem(s) {
+    obs::EventBus::instance().enable(obs::EventBus::bit(s));
+  }
+  ~EventCapture() { obs::EventBus::instance().disable(); }
+
+  /// The captured instants with `code`, oldest first.
+  std::vector<obs::Event> instants(std::uint16_t code) const {
+    std::vector<obs::Event> out;
+    for (const obs::Event& e : obs::EventBus::instance().snapshot()) {
+      if (e.subsystem == subsystem && e.kind == obs::EventKind::kInstant &&
+          e.code == code) {
+        out.push_back(e);
+      }
+    }
+    return out;
+  }
+
+  obs::Subsystem subsystem;
+};
 
 /// A standalone switch-fabric rig: one static clock domain, `n` boxes of
 /// the given shape, and one producer + one consumer interface attached to
