@@ -24,6 +24,8 @@ struct EventCapture {
     obs::EventBus::instance().enable(obs::EventBus::bit(s));
   }
   ~EventCapture() { obs::EventBus::instance().disable(); }
+  EventCapture(const EventCapture&) = delete;
+  EventCapture& operator=(const EventCapture&) = delete;
 
   /// The captured instants with `code`, oldest first.
   std::vector<obs::Event> instants(std::uint16_t code) const {
