@@ -13,7 +13,7 @@
 //                 every component busy every cycle — the worst case for
 //                 the poll overhead.
 //
-// Each workload runs kRepeats times per kernel, the two kernels
+// Each workload runs several times per kernel, the two kernels
 // alternating (and swapping which goes first every repeat) so that a
 // burst of host load lands on both sides alike; the gates compare the
 // per-kernel minimum wall times.
@@ -136,15 +136,20 @@ struct Repeats {
   }
 };
 
-constexpr int kRepeats = 7;
+// The idle-heavy gate clears its bound by orders of magnitude. The
+// fully-active kernels differ by ~2 % against a 10 % bound, and a ~65 ms
+// repeat's wall time drifts by several percent with host load, so each
+// kernel needs enough repeats for its minimum to reach the same floor.
+constexpr int kIdleRepeats = 7;
+constexpr int kActiveRepeats = 21;
 
-/// Runs `run(true)` (activity) and `run(false)` (exhaustive) kRepeats
+/// Runs `run(true)` (activity) and `run(false)` (exhaustive) `repeats`
 /// times each, alternating, with the first kernel swapped every repeat.
 template <typename Run>
-std::pair<Repeats, Repeats> interleaved(Run&& run) {
+std::pair<Repeats, Repeats> interleaved(Run&& run, int repeats) {
   Repeats fast;
   Repeats ref;
-  for (int i = 0; i < kRepeats; ++i) {
+  for (int i = 0; i < repeats; ++i) {
     if (i % 2 == 0) {
       fast.add(run(true));
       ref.add(run(false));
@@ -194,15 +199,18 @@ void emit_json_run(std::FILE* f, const char* kernel, const Repeats& rep,
 int main() {
   std::printf("== simulator throughput: activity-driven vs exhaustive ==\n");
 
-  const auto [idle_fast_runs, idle_ref_runs] = interleaved(run_idle_heavy);
+  const auto [idle_fast_runs, idle_ref_runs] =
+      interleaved(run_idle_heavy, kIdleRepeats);
   const auto [active_fast_runs, active_ref_runs] =
-      interleaved(run_fully_active);
+      interleaved(run_fully_active, kActiveRepeats);
   const RunResult& idle_fast = idle_fast_runs.best;
   const RunResult& idle_ref = idle_ref_runs.best;
   const RunResult& active_fast = active_fast_runs.best;
   const RunResult& active_ref = active_ref_runs.best;
 
-  std::printf("best of %d interleaved repeats per kernel:\n", kRepeats);
+  std::printf("best of %d (idle-heavy) and %d (fully-active) interleaved "
+              "repeats per kernel:\n",
+              kIdleRepeats, kActiveRepeats);
   print_result("idle-heavy", "activity", idle_fast);
   print_result("idle-heavy", "exhaustive", idle_ref);
   print_result("fully-active", "activity", active_fast);
@@ -232,14 +240,13 @@ int main() {
     emit_json_run(f, "exhaustive", active_ref_runs, true);
     std::fprintf(f,
                  "  },\n"
-                 "  \"repeats_per_kernel\": %d,\n"
                  "  \"idle_heavy_speedup\": %.2f,\n"
                  "  \"fully_active_slowdown_pct\": %.2f,\n"
                  "  \"thresholds\": {\"idle_heavy_speedup_min\": 5.0, "
                  "\"fully_active_slowdown_max_pct\": 10.0},\n"
                  "  \"pass\": %s\n"
                  "}\n",
-                 kRepeats, speedup, slowdown_pct,
+                 speedup, slowdown_pct,
                  idle_ok && active_ok ? "true" : "false");
     std::fclose(f);
     std::printf("wrote BENCH_sim_speed.json\n");
