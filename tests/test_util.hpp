@@ -20,7 +20,7 @@ namespace vapres::test {
 
 /// Captures one subsystem's EventBus records for the guard's lifetime.
 struct EventCapture {
-  explicit EventCapture(obs::Subsystem s) : subsystem(s) {
+  explicit EventCapture(obs::Subsystem s) {
     obs::EventBus::instance().enable(obs::EventBus::bit(s));
   }
   ~EventCapture() { obs::EventBus::instance().disable(); }
@@ -31,15 +31,12 @@ struct EventCapture {
   std::vector<obs::Event> instants(std::uint16_t code) const {
     std::vector<obs::Event> out;
     for (const obs::Event& e : obs::EventBus::instance().snapshot()) {
-      if (e.subsystem == subsystem && e.kind == obs::EventKind::kInstant &&
-          e.code == code) {
+      if (e.kind == obs::EventKind::kInstant && e.code == code) {
         out.push_back(e);
       }
     }
     return out;
   }
-
-  obs::Subsystem subsystem;
 };
 
 /// A standalone switch-fabric rig: one static clock domain, `n` boxes of
